@@ -125,9 +125,10 @@ struct EngineOptions
     /// complete up to the checkpoint GCC (PI/CS/input appends happen
     /// before the commit's checkpoint test, and for stratified modes
     /// rec.strata is synced to the stratifier before the call), so a
-    /// streaming consumer — the archive's StreamingArchiveWriter — can
-    /// cut the segment ending at rec.checkpoints.back() while the
-    /// simulation continues. The callee must not retain references
+    /// streaming consumer — StreamingArchiveWriter or
+    /// RingArchiveWriter, both one segment pipeline — can cut the
+    /// segment ending at rec.checkpoints.back() while the simulation
+    /// continues. The callee must not retain references
     /// into the recording across calls: logs keep growing.
     std::function<void(const Recording &)> onCheckpoint;
 };

@@ -45,8 +45,9 @@ class Recorder
      * @param on_checkpoint segment-flush hook, fired on the recording
      *        thread after every checkpoint with the in-progress
      *        recording (EngineOptions::onCheckpoint) — this is how a
-     *        StreamingArchiveWriter overlaps archive compression and
-     *        I/O with the rest of the simulation
+     *        StreamingArchiveWriter or RingArchiveWriter overlaps
+     *        segment compression and I/O with the rest of the
+     *        simulation
      */
     Recording
     record(const Workload &workload, std::uint64_t env_seed,

@@ -16,8 +16,9 @@
  *  - **Incremental archive emission.** The recording session streams
  *    the .dla archive through a StreamingArchiveWriter wired into the
  *    engine's checkpoint hook, overlapping LZ77/CRC/file I/O with the
- *    rest of the simulation. The streamed bytes are byte-identical to
- *    writeArchiveFile() of the finished recording.
+ *    rest of the simulation. writeArchiveFile() of the finished
+ *    recording runs the same writer fed at close, so the bytes are
+ *    identical.
  *  - **Always-on ring emission.** With a ring directory set, each
  *    distinct recording also streams a rotating segmented ring
  *    (store/ring) through the same checkpoint hook: a bounded-budget
@@ -132,8 +133,8 @@ struct ServeOptions
     /// (RingOptions::maxReplayLag).
     std::uint64_t ringMaxReplayLag = 0;
 
-    /// Cross-check every streamed archive against the batch writer's
-    /// bytes (writeArchive of the finished recording); a mismatch
+    /// Cross-check every hook-fed archive against writeArchive of the
+    /// finished recording (the same writer, fed at close); a mismatch
     /// fails the recording session.
     bool verifyArchives = false;
 

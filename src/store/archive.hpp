@@ -168,60 +168,42 @@ struct ArchiveSegmentInfo
 };
 
 /**
- * Streams a Recording into an archive: segments are cut at the
- * recording's checkpoint GCCs and written one at a time, then the
- * footer index and trailer. Requires checkpoints in strictly
- * ascending GCC order (the recorder emits them that way).
+ * A container write did not land: a file could not be opened, or the
+ * stream failed while writing, flushing or closing (disk full, I/O
+ * error). Raised by every archive and ring writer. Not a subtype of
+ * RecordingFormatError: the data is fine, the medium is not.
  */
-class ArchiveWriter
+class ArchiveWriteError : public DeloreanError
 {
   public:
-    explicit ArchiveWriter(std::ostream &out,
-                           const ArchiveIoOptions &io = {})
-        : out_(&out), io_(io)
-    {
-    }
-
-    /** Write the whole archive. Call once. */
-    void write(const Recording &rec);
-
-    /** Segments emitted (checkpoints + tail), after write(). */
-    std::size_t segmentCount() const { return segments_.size(); }
-
-  private:
-    std::ostream *out_;
-    ArchiveIoOptions io_;
-    std::uint64_t offset_ = 0;
-    std::vector<ArchiveSegmentInfo> segments_;
-
-    void putBytes(const std::uint8_t *data, std::size_t size);
-    void putU64(std::uint64_t v);
+    using DeloreanError::DeloreanError;
 };
 
 /**
- * Incremental archive writer: emits segments while the recording is
- * still being produced, overlapping LZ77 compression and file I/O
- * with the rest of the simulation.
+ * The archive writer: emits segments while the recording is still
+ * being produced, overlapping LZ77 compression and file I/O with the
+ * rest of the simulation.
  *
- * Wire onCheckpoint() into EngineOptions::onCheckpoint (or call it
- * after record() on a finished recording — both feed paths produce
- * the same bytes): each call consumes every not-yet-streamed
- * checkpoint, cuts the covered segments, and *stages* them — the
- * payload slice is serialized synchronously (the recording's logs
- * keep growing after the hook returns), while compression, CRC and
- * the file write happen on a background flusher thread that fans the
- * codec work over the same WorkerPool path ArchiveWriter uses.
- * Staging is double-buffered: while one batch compresses and writes,
- * the next accumulates, and the recording thread never blocks on the
- * codec. close() streams any remaining checkpoints, cuts the tail
- * segment, drains the flusher, and writes the footer index and
- * trailer.
+ * Wire onCheckpoint() into EngineOptions::onCheckpoint, or call only
+ * close() with a finished recording (what writeArchive() does) — both
+ * feed paths produce the same bytes. Each onCheckpoint() consumes
+ * every not-yet-streamed checkpoint, cuts the covered segments, and
+ * *stages* them — the payload slice is serialized synchronously (the
+ * recording's logs keep growing after the hook returns), while
+ * compression, CRC and the file write happen on a background flusher
+ * thread that fans the codec work over a WorkerPool. Staging is
+ * double-buffered: while one batch compresses and writes, the next
+ * accumulates, and the recording thread never blocks on the codec.
+ * close() streams any remaining checkpoints, cuts the tail segment,
+ * drains the flusher, and writes the footer index and trailer. The
+ * ring (store/ring) runs the same segment pipeline into a directory.
  *
- * The emitted container is byte-identical to writeArchive() of the
- * finished recording, at any ioThreads. Checkpoints must arrive in
- * ascending GCC order (the recorder emits them that way); violations
- * throw the same RecordingFormatError as the batch writer. A flusher
- * failure is rethrown from the next onCheckpoint()/close() call.
+ * The container bytes do not depend on ioThreads or on the feed path.
+ * Checkpoints must arrive in ascending GCC order (the recorder emits
+ * them that way); violations throw RecordingFormatError. A write
+ * failure (ArchiveWriteError) is rethrown from the next
+ * onCheckpoint()/close() call and closes the writer: the stream is
+ * mid-segment, so every later call throws std::logic_error.
  */
 class StreamingArchiveWriter
 {
@@ -244,13 +226,13 @@ class StreamingArchiveWriter
 
     /**
      * Finish the archive: stream any remaining checkpoints, cut the
-     * tail segment, drain all pending codec/write work, and emit the
-     * footer index and trailer. Call once, with the finished
-     * recording.
+     * tail segment, drain all pending codec/write work, emit the
+     * footer index and trailer, and flush the stream. Call once, with
+     * the finished recording.
      */
     void close(const Recording &rec);
 
-    /** True after a successful close(). */
+    /** True once close() was called or a write failed. */
     bool closed() const;
 
     /** Segments emitted so far (all staged + flushed ones). */
@@ -261,13 +243,44 @@ class StreamingArchiveWriter
     std::unique_ptr<Impl> impl_;
 };
 
-/** Archive @p rec to @p out. */
+/** Archive @p rec to @p out: a StreamingArchiveWriter fed at close(). */
 void writeArchive(const Recording &rec, std::ostream &out,
                   const ArchiveIoOptions &io = {});
 
-/** Archive @p rec to file @p path. */
+/**
+ * Archive @p rec to file @p path. @throws ArchiveWriteError when the
+ * file cannot be opened or any byte fails to land, flush and close
+ * included.
+ */
 void writeArchiveFile(const Recording &rec, const std::string &path,
                       const ArchiveIoOptions &io = {});
+
+namespace archive_detail
+{
+
+/** Run identity both containers store (.dla footer, ring.meta). */
+struct RunInfo
+{
+    MachineConfig machine;
+    ModeConfig mode;
+    std::string app;
+    std::uint64_t seed = 0;
+    unsigned iterations = 100;
+};
+
+/**
+ * End-of-run values a whole-recording read restores: engine stats
+ * and the final fingerprint (.dla footer, clean ring.index).
+ */
+struct FinalStats
+{
+    std::uint64_t engine[8] = {};
+    std::vector<std::uint64_t> perProcAcc;
+    std::vector<std::uint64_t> perProcRetired;
+    std::uint64_t finalMemHash = 0;
+};
+
+} // namespace archive_detail
 
 /**
  * Random-access archive reader. Construction parses and integrity-
@@ -319,11 +332,11 @@ class ArchiveReader
     /** Boundary checkpoint @p index (0-based, ascending GCC). */
     const SystemCheckpoint &checkpointAt(std::size_t index) const;
 
-    const MachineConfig &machine() const { return machine_; }
-    const ModeConfig &mode() const { return mode_; }
-    const std::string &appName() const { return app_name_; }
-    std::uint64_t workloadSeed() const { return workload_seed_; }
-    unsigned iterationsPercent() const { return iterations_percent_; }
+    const MachineConfig &machine() const { return run_.machine; }
+    const ModeConfig &mode() const { return run_.mode; }
+    const std::string &appName() const { return run_.app; }
+    std::uint64_t workloadSeed() const { return run_.seed; }
+    unsigned iterationsPercent() const { return run_.iterations; }
 
     /**
      * Reassemble the complete Recording. Byte-identical to the
@@ -351,7 +364,7 @@ class ArchiveReader
     ArchiveReader() = default;
 
     void parse();
-    /// Decode + verify one segment payload; returns raw bytes.
+    /// Header-check + inflate one segment payload; returns raw bytes.
     std::vector<std::uint8_t> segmentPayload(std::size_t index) const;
     /// The pool backing parallel segment decode (lazily built).
     WorkerPool &ioPool() const;
@@ -368,15 +381,8 @@ class ArchiveReader
     /// one reader per thread, like any const-method-only class with
     /// lazy state.
     mutable std::unique_ptr<WorkerPool> pool_;
-    MachineConfig machine_;
-    ModeConfig mode_;
-    std::string app_name_;
-    std::uint64_t workload_seed_ = 0;
-    unsigned iterations_percent_ = 100;
-    std::uint64_t stats_[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::vector<std::uint64_t> per_proc_acc_;
-    std::vector<std::uint64_t> per_proc_retired_;
-    std::uint64_t final_mem_hash_ = 0;
+    archive_detail::RunInfo run_;
+    archive_detail::FinalStats final_;
     std::vector<ArchiveSegmentInfo> segments_;
 };
 

@@ -1,21 +1,16 @@
 #include "store/ring.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <deque>
-#include <exception>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/errors.hpp"
-#include "compress/lz77.hpp"
 #include "core/serialize.hpp"
 #include "core/serialize_detail.hpp"
 #include "sim/campaign.hpp"
@@ -26,14 +21,8 @@ namespace delorean
 {
 
 using serialize_detail::getCheckpoint;
-using serialize_detail::getMachine;
-using serialize_detail::getMode;
-using serialize_detail::getString;
 using serialize_detail::getU64;
 using serialize_detail::putCheckpoint;
-using serialize_detail::putMachine;
-using serialize_detail::putMode;
-using serialize_detail::putString;
 using serialize_detail::putU64;
 
 using namespace archive_detail;
@@ -70,14 +59,20 @@ segFileName(std::uint64_t id)
     return buf;
 }
 
+void
+putBlob(std::ostream &out, const std::vector<std::uint8_t> &bytes)
+{
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
 /** Write preamble + blob to @p path via temp + atomic rename. */
 void
 writeBlobFileAtomic(const std::string &path, std::uint64_t magic,
                     std::uint64_t seg_id, const std::string &blob)
 {
     const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    writeFileChecked(tmp, [&](std::ostream &out) {
         putU64(out, magic);
         putU64(out, kRingVersion);
         putU64(out, seg_id);
@@ -85,30 +80,38 @@ writeBlobFileAtomic(const std::string &path, std::uint64_t magic,
         putU64(out, crc32(reinterpret_cast<const std::uint8_t *>(
                               blob.data()),
                           blob.size()));
-        out.write(blob.data(),
-                  static_cast<std::streamsize>(blob.size()));
-        if (!out)
-            throw std::runtime_error("failed to write " + tmp);
-    }
+        out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+    });
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        throw std::runtime_error("failed to rename " + tmp + " to "
-                                 + path);
+        throw ArchiveWriteError("failed to rename " + tmp + " to "
+                                + path);
 }
 
-/** Read a whole file; empty optional-style flag via @p ok. */
-std::vector<std::uint8_t>
-readWholeFile(const std::string &path, bool &ok)
+/**
+ * Check a ring.meta / ring.index preamble (magic, version, blob size,
+ * CRC) and point @p in at its blob. Returns why the file is unusable,
+ * or an empty string.
+ */
+std::string
+openBlobFile(const std::vector<std::uint8_t> &bytes, std::uint64_t magic,
+             std::istringstream &in)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        ok = false;
-        return {};
-    }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    ok = static_cast<bool>(in) || in.eof();
-    return bytes;
+    if (bytes.size() < kPreambleBytes || readU64At(bytes.data(), 0) != magic)
+        return "magic missing (not a DeLorean ring archive?)";
+    if (readU64At(bytes.data(), 8) != kRingVersion)
+        return "unsupported ring version "
+               + std::to_string(readU64At(bytes.data(), 8));
+    const std::uint64_t size = readU64At(bytes.data(), 24);
+    if (size > kMaxBlobBytes || kPreambleBytes + size != bytes.size())
+        return "truncated";
+    if (crc32(bytes.data() + kPreambleBytes,
+              static_cast<std::size_t>(size))
+        != readU64At(bytes.data(), 32))
+        return "CRC mismatch";
+    in.str(std::string(reinterpret_cast<const char *>(bytes.data())
+                           + kPreambleBytes,
+                       static_cast<std::size_t>(size)));
+    return "";
 }
 
 } // namespace
@@ -143,159 +146,121 @@ RingOptions::validate() const
 
 // ----- writer ---------------------------------------------------------------
 
-/**
- * Same two-thread pipeline as StreamingArchiveWriter::Impl: the
- * feeder cuts payloads synchronously and stages them; the flusher
- * compresses a snatched batch over the codec pool, writes one file
- * per segment, evicts over-budget history and atomically rewrites
- * the index. Handoff is by join (flush_done + join before touching
- * flusher-owned state); the mutex only guards the live-set/stats
- * snapshot that stats() may read concurrently.
- */
-struct RingArchiveWriter::Impl
+namespace
 {
-    std::string dir;
-    RingOptions opts;
 
-    bool initialized = false;
-    bool is_closed = false;
-    unsigned n = 0;
-
-    Boundary last;              ///< frontier at the last cut
-    std::uint64_t last_gcc = 0; ///< last checkpoint GCC
-    std::size_t fed = 0;        ///< checkpoints consumed
-    std::uint64_t next_seg = 0; ///< next segment id to cut
-
-    /// A cut segment between payload build and file commit. The start
-    /// checkpoint is not carried: it is by construction the previous
-    /// segment's end checkpoint, whose compressed blob the flusher
-    /// caches and reuses.
-    struct Pending
-    {
-        std::uint64_t segId = 0;
-        std::uint64_t startGcc = 0;
-        std::uint64_t endGcc = 0;
-        bool isTail = false;
-        bool hasStart = false;
-        bool hasEnd = false;
-        SystemCheckpoint end;
-        std::string raw;
-    };
-    /// One compressed checkpoint image (flusher-owned cache of the
-    /// newest end checkpoint, reused as the next start blob).
-    struct CkptBlob
-    {
-        std::uint64_t raw = 0;
-        std::uint64_t crc = 0;
-        std::vector<std::uint8_t> comp;
-    };
-    CkptBlob prev_end; ///< flusher-owned carry across batches
-    std::vector<Pending> staging;  ///< feeder-owned accumulation
-    std::vector<Pending> flushing; ///< flusher-owned batch
-    std::thread flusher;
-    std::atomic<bool> flush_done{true};
-    std::exception_ptr flush_error;
-    std::unique_ptr<WorkerPool> pool;
-
-    /// Retained on-disk segments, oldest first (flusher-owned; the
-    /// mutex makes the snapshot readable from stats()).
-    struct LiveSeg
-    {
-        std::uint64_t segId = 0;
-        std::uint64_t fileBytes = 0;
-    };
-    mutable std::mutex mu;
-    std::deque<LiveSeg> live;
-    RingWriterStats statsd;
-    std::uint64_t newest_start_gcc = 0; ///< of newest durable segment
-    bool have_durable = false;
-
-    Impl(std::string d, const RingOptions &o)
+/**
+ * The ring sink: one self-describing file per segment, carrying its
+ * start and end checkpoint images; over-budget history is evicted
+ * oldest first and ring.index is atomically rewritten after every
+ * batch.
+ */
+class RingSink final : public SegmentSink
+{
+  public:
+    RingSink(std::string d, const RingOptions &o)
         : dir(std::move(d)), opts(o)
     {
     }
 
-    ~Impl()
-    {
-        if (flusher.joinable())
-            flusher.join();
-    }
-
     void
-    ensureInit(const Recording &rec)
+    begin(const Recording &rec) override
     {
-        if (initialized)
-            return;
-        n = rec.machine.numProcs;
-        last = Boundary{};
-        last.committed.assign(n, 0);
-        last.ioIdx.assign(n, 0);
         namespace fs = std::filesystem;
         fs::create_directories(dir);
         // A ring directory belongs to one run: clear leftovers so a
         // reader never stitches two runs together.
         for (const auto &entry : fs::directory_iterator(dir)) {
             const std::string name = entry.path().filename().string();
-            if (name == "ring.meta" || name == "ring.index"
-                || name.rfind("seg-", 0) == 0
-                || name.rfind("ring.", 0) == 0)
+            if (name.rfind("seg-", 0) == 0 || name.rfind("ring.", 0) == 0)
                 fs::remove(entry.path());
         }
         std::ostringstream blob(std::ios::binary);
-        putMachine(blob, rec.machine);
-        putMode(blob, rec.mode);
-        putString(blob, rec.appName);
-        putU64(blob, rec.workloadSeed);
-        putU64(blob, rec.iterationsPercent);
+        putRunInfo(blob, rec);
         putU64(blob, opts.budgetBytes);
         putU64(blob, opts.checkpointPeriod);
         putU64(blob, opts.resolvedLag());
         writeBlobFileAtomic(dir + "/ring.meta", kRingMetaMagic, 0,
                             std::move(blob).str());
-        initialized = true;
-    }
-
-    void
-    rethrowFlushError()
-    {
-        if (flush_error) {
-            is_closed = true; // poisoned: the ring is mid-commit
-            std::exception_ptr e = flush_error;
-            flush_error = nullptr;
-            std::rethrow_exception(e);
-        }
     }
 
     /**
-     * Serialize one segment's self-describing header blob: the GCC
-     * interval plus the sizes and CRCs of the checkpoint blobs and
-     * payload that follow it in the file.
+     * The end checkpoint image, compressed exactly once: the blob
+     * closing segment i doubles as the start blob of segment i+1
+     * (prev_end carries it across batches).
      */
-    static std::string
-    segmentHeaderBlob(const Pending &p, const CkptBlob &start,
-                      const CkptBlob &end, std::uint64_t comp_bytes,
-                      std::uint64_t payload_crc)
+    void
+    encodeExtra(StagedSegment &seg) override
     {
-        std::ostringstream blob(std::ios::binary);
-        putU64(blob, p.startGcc);
-        putU64(blob, p.endGcc);
-        putU64(blob, p.isTail ? 1 : 0);
-        putU64(blob, p.hasStart ? 1 : 0);
-        if (p.hasStart) {
-            putU64(blob, start.raw);
-            putU64(blob, start.comp.size());
-            putU64(blob, start.crc);
+        if (!seg.info.hasCheckpoint)
+            return;
+        std::ostringstream b(std::ios::binary);
+        putCheckpoint(b, seg.info.checkpoint);
+        seg.extra = encodeBlob(std::move(b).str());
+    }
+
+    void
+    commit(std::vector<StagedSegment> &batch) override
+    {
+        for (StagedSegment &seg : batch) {
+            const bool has_start = seg.index > 0;
+            const bool has_end = seg.info.hasCheckpoint;
+            EncodedBlob start;
+            if (has_start) {
+                if (prev_end.comp.empty())
+                    throw std::logic_error(
+                        "ring segment cut out of order: no cached "
+                        "start checkpoint");
+                start = std::move(prev_end);
+            }
+            // Self-describing header: the GCC interval plus the sizes
+            // and CRCs of the blobs that follow it in the file.
+            std::ostringstream hb(std::ios::binary);
+            putU64(hb, seg.startGcc);
+            putU64(hb, seg.info.endGcc);
+            putU64(hb, has_end ? 0 : 1); // tail flag
+            const auto put_blob_ref = [&hb](bool present,
+                                            const EncodedBlob &blob) {
+                putU64(hb, present ? 1 : 0);
+                if (present) {
+                    putU64(hb, blob.rawBytes);
+                    putU64(hb, blob.comp.size());
+                    putU64(hb, blob.crc);
+                }
+            };
+            put_blob_ref(has_start, start);
+            put_blob_ref(has_end, seg.extra);
+            putU64(hb, seg.info.rawBytes);
+            putU64(hb, seg.info.compBytes);
+            putU64(hb, seg.info.crc32);
+            const EncodedBlob header = encodeBlob(std::move(hb).str());
+
+            // Written in place, not via rename: only the newest file
+            // can ever be torn, which is exactly the crash shape the
+            // reader's salvage path handles.
+            writeFileChecked(
+                dir + "/" + segFileName(seg.index), [&](std::ostream &out) {
+                    putU64(out, kRingSegMagic);
+                    putU64(out, kRingVersion);
+                    putU64(out, seg.index);
+                    putU64(out, header.rawBytes);
+                    putU64(out, header.comp.size());
+                    putU64(out, header.crc);
+                    putBlob(out, header.comp);
+                    putBlob(out, start.comp);
+                    putBlob(out, seg.extra.comp);
+                    putBlob(out, seg.payload.comp);
+                });
+            const std::uint64_t file_bytes =
+                kSegPreambleBytes + header.comp.size()
+                + start.comp.size() + seg.extra.comp.size()
+                + seg.payload.comp.size();
+            if (has_end)
+                prev_end = std::move(seg.extra);
+            std::vector<std::uint8_t>().swap(seg.payload.comp);
+            account(seg, file_bytes);
         }
-        putU64(blob, p.hasEnd ? 1 : 0);
-        if (p.hasEnd) {
-            putU64(blob, end.raw);
-            putU64(blob, end.comp.size());
-            putU64(blob, end.crc);
-        }
-        putU64(blob, p.raw.size());
-        putU64(blob, comp_bytes);
-        putU64(blob, payload_crc);
-        return std::move(blob).str();
+        writeIndex(nullptr);
     }
 
     /**
@@ -316,235 +281,86 @@ struct RingArchiveWriter::Impl
                 putU64(blob, seg.fileBytes);
             }
         }
-        if (rec) {
-            putU64(blob, rec->stats.totalCycles);
-            putU64(blob, rec->stats.retiredInstrs);
-            putU64(blob, rec->stats.executedInstrs);
-            putU64(blob, rec->stats.committedChunks);
-            putU64(blob, rec->stats.squashes);
-            putU64(blob, rec->stats.overflowTruncations);
-            putU64(blob, rec->stats.collisionTruncations);
-            putU64(blob, rec->stats.hardTruncations);
-            putU64(blob, rec->fingerprint.perProcAcc.size());
-            for (std::size_t p = 0;
-                 p < rec->fingerprint.perProcAcc.size(); ++p) {
-                putU64(blob, rec->fingerprint.perProcAcc[p]);
-                putU64(blob, rec->fingerprint.perProcRetired[p]);
-            }
-            putU64(blob, rec->fingerprint.finalMemHash);
-        }
+        if (rec)
+            putFinalStats(blob, *rec);
         writeBlobFileAtomic(dir + "/ring.index", kRingIdxMagic, 0,
                             std::move(blob).str());
     }
 
-    /**
-     * Compress the batch over the codec pool, commit one file per
-     * segment in id order, evict over-budget history and rewrite the
-     * index. Runs on the flusher thread (or inline from drain()).
-     */
-    void
-    flushBatch()
+    RingWriterStats
+    stats() const
     {
-        const std::size_t count = flushing.size();
-        std::vector<std::vector<std::uint8_t>> comp(count);
-        std::vector<std::string> end_raw(count);
-        std::vector<CkptBlob> end_blob(count);
-        for (std::size_t i = 0; i < count; ++i)
-            if (flushing[i].hasEnd) {
-                std::ostringstream b(std::ios::binary);
-                putCheckpoint(b, flushing[i].end);
-                end_raw[i] = std::move(b).str();
-            }
-        if (!pool)
-            pool = std::make_unique<WorkerPool>(
-                opts.io.resolvedIoThreads());
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(2 * count);
-        for (std::size_t i = 0; i < count; ++i) {
-            tasks.push_back([this, &comp, i] {
-                comp[i] = compressPayload(flushing[i].raw);
-            });
-            // Each checkpoint image is compressed exactly once, here:
-            // the blob closing segment i doubles as the start blob of
-            // segment i+1 (prev_end carries it across batches).
-            if (flushing[i].hasEnd)
-                tasks.push_back([&end_raw, &end_blob, i] {
-                    end_blob[i].raw = end_raw[i].size();
-                    end_blob[i].comp = compressPayload(end_raw[i]);
-                    end_blob[i].crc = crc32(end_blob[i].comp.data(),
-                                            end_blob[i].comp.size());
-                });
-        }
-        std::vector<std::exception_ptr> errors;
-        runIndexed(*pool, std::move(tasks), errors);
-        for (const std::exception_ptr &e : errors)
-            if (e)
-                std::rethrow_exception(e);
-
-        for (std::size_t i = 0; i < count; ++i) {
-            Pending &p = flushing[i];
-            const std::uint64_t payload_crc =
-                crc32(comp[i].data(), comp[i].size());
-            CkptBlob start;
-            if (p.hasStart) {
-                if (prev_end.comp.empty())
-                    throw std::logic_error(
-                        "ring segment cut out of order: no cached "
-                        "start checkpoint");
-                start = std::move(prev_end);
-            }
-            const std::string blob = segmentHeaderBlob(
-                p, start, end_blob[i], comp[i].size(), payload_crc);
-            const std::vector<std::uint8_t> hcomp =
-                compressPayload(blob);
-            const std::string path = dir + "/" + segFileName(p.segId);
-            {
-                // Written in place, not via rename: only the newest
-                // file can ever be torn, which is exactly the crash
-                // shape the reader's salvage path handles.
-                std::ofstream out(path,
-                                  std::ios::binary | std::ios::trunc);
-                putU64(out, kRingSegMagic);
-                putU64(out, kRingVersion);
-                putU64(out, p.segId);
-                putU64(out, blob.size());
-                putU64(out, hcomp.size());
-                putU64(out, crc32(hcomp.data(), hcomp.size()));
-                out.write(
-                    reinterpret_cast<const char *>(hcomp.data()),
-                    static_cast<std::streamsize>(hcomp.size()));
-                out.write(
-                    reinterpret_cast<const char *>(start.comp.data()),
-                    static_cast<std::streamsize>(start.comp.size()));
-                out.write(reinterpret_cast<const char *>(
-                              end_blob[i].comp.data()),
-                          static_cast<std::streamsize>(
-                              end_blob[i].comp.size()));
-                out.write(
-                    reinterpret_cast<const char *>(comp[i].data()),
-                    static_cast<std::streamsize>(comp[i].size()));
-                if (!out)
-                    throw std::runtime_error("failed to write " + path);
-            }
-            const std::uint64_t file_bytes =
-                kSegPreambleBytes + hcomp.size() + start.comp.size()
-                + end_blob[i].comp.size() + comp[i].size();
-            if (p.hasEnd)
-                prev_end = std::move(end_blob[i]);
-
-            std::vector<std::uint64_t> evict_ids;
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                // Lag bookkeeping: while this segment recorded, the
-                // newest durable start was the previous segment's.
-                const std::uint64_t lag =
-                    p.endGcc
-                    - (have_durable ? newest_start_gcc : 0);
-                statsd.worstStartLag =
-                    std::max(statsd.worstStartLag, lag);
-                statsd.maxCheckpointSpacing =
-                    std::max(statsd.maxCheckpointSpacing,
-                             p.endGcc - p.startGcc);
-                have_durable = true;
-                newest_start_gcc = p.startGcc;
-
-                live.push_back({p.segId, file_bytes});
-                ++statsd.segmentsCut;
-                statsd.bytesWritten += file_bytes;
-                statsd.liveBytes += file_bytes;
-                while (statsd.liveBytes > opts.budgetBytes
-                       && live.size() > 1) {
-                    const LiveSeg victim = live.front();
-                    live.pop_front();
-                    statsd.liveBytes -= victim.fileBytes;
-                    ++statsd.segmentsEvicted;
-                    evict_ids.push_back(victim.segId);
-                }
-                if (statsd.liveBytes > opts.budgetBytes)
-                    ++statsd.budgetOverruns;
-            }
-            for (const std::uint64_t id : evict_ids)
-                std::remove((dir + "/" + segFileName(id)).c_str());
-
-            std::vector<std::uint8_t>().swap(comp[i]);
-            std::string().swap(p.raw);
-        }
-        flushing.clear();
-        writeIndex(nullptr);
+        std::lock_guard<std::mutex> lock(mu);
+        return statsd;
     }
 
+    const std::string dir;
+
+  private:
+    /** Lag bookkeeping, then evict over-budget history. */
     void
-    pump()
+    account(const StagedSegment &seg, std::uint64_t file_bytes)
     {
-        if (!flush_done.load(std::memory_order_acquire))
-            return; // flusher busy; keep accumulating
-        if (flusher.joinable())
-            flusher.join();
-        rethrowFlushError();
-        if (staging.empty())
-            return;
-        flushing = std::move(staging);
-        staging.clear();
-        flush_done.store(false, std::memory_order_release);
-        flusher = std::thread([this] {
-            try {
-                flushBatch();
-            } catch (...) {
-                flush_error = std::current_exception();
+        std::vector<std::uint64_t> evict_ids;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            // While this segment recorded, the newest durable start
+            // was the previous segment's.
+            const std::uint64_t lag =
+                seg.info.endGcc - (have_durable ? newest_start_gcc : 0);
+            statsd.worstStartLag = std::max(statsd.worstStartLag, lag);
+            statsd.maxCheckpointSpacing =
+                std::max(statsd.maxCheckpointSpacing,
+                         seg.info.endGcc - seg.startGcc);
+            have_durable = true;
+            newest_start_gcc = seg.startGcc;
+
+            live.push_back({seg.index, file_bytes});
+            ++statsd.segmentsCut;
+            statsd.bytesWritten += file_bytes;
+            statsd.liveBytes += file_bytes;
+            while (statsd.liveBytes > opts.budgetBytes
+                   && live.size() > 1) {
+                const LiveSeg victim = live.front();
+                live.pop_front();
+                statsd.liveBytes -= victim.fileBytes;
+                ++statsd.segmentsEvicted;
+                evict_ids.push_back(victim.segId);
             }
-            flush_done.store(true, std::memory_order_release);
-        });
+            if (statsd.liveBytes > opts.budgetBytes)
+                ++statsd.budgetOverruns;
+        }
+        for (const std::uint64_t id : evict_ids)
+            std::remove((dir + "/" + segFileName(id)).c_str());
     }
 
-    void
-    drain()
-    {
-        if (flusher.joinable())
-            flusher.join();
-        rethrowFlushError();
-        if (!staging.empty()) {
-            flushing = std::move(staging);
-            staging.clear();
-            flushBatch();
-        }
-    }
+    const RingOptions opts;
 
-    /** Cut the segment (last, hi]; null @p end_ckpt cuts the tail. */
-    void
-    stage(const Recording &rec, const Boundary &hi,
-          const SystemCheckpoint *end_ckpt)
+    struct LiveSeg
     {
-        Pending p;
-        p.segId = next_seg;
-        p.startGcc = last.gcc;
-        p.endGcc = hi.gcc;
-        p.isTail = end_ckpt == nullptr;
-        p.hasStart = next_seg > 0;
-        if (end_ckpt) {
-            p.hasEnd = true;
-            p.end = *end_ckpt;
-        }
-        p.raw = buildSegmentPayload(rec, last, hi);
-        staging.push_back(std::move(p));
-        last = hi;
-        ++next_seg;
-    }
+        std::uint64_t segId = 0;
+        std::uint64_t fileBytes = 0;
+    };
+    /// Guards live and statsd, which stats() reads while the flusher
+    /// commits.
+    mutable std::mutex mu;
+    std::deque<LiveSeg> live; ///< retained on-disk segments, oldest first
+    RingWriterStats statsd;
+    EncodedBlob prev_end; ///< newest end checkpoint, the next start
+    std::uint64_t newest_start_gcc = 0; ///< of newest durable segment
+    bool have_durable = false;
+};
 
-    /** Consume every not-yet-streamed checkpoint of @p rec. */
-    void
-    feed(const Recording &rec)
+} // namespace
+
+struct RingArchiveWriter::Impl
+{
+    RingSink sink;
+    SegmentPipeline pipeline;
+
+    Impl(const std::string &dir, const RingOptions &opts)
+        : sink(dir, opts), pipeline(sink, opts.io, "RingArchiveWriter")
     {
-        ensureInit(rec);
-        while (fed < rec.checkpoints.size()) {
-            const SystemCheckpoint &ckpt = rec.checkpoints[fed];
-            if (fed > 0 && ckpt.gcc <= last_gcc)
-                throw RecordingFormatError(
-                    "checkpoints are not in ascending GCC order");
-            Boundary hi = boundaryAtCheckpoint(rec, ckpt, fed);
-            stage(rec, hi, &ckpt);
-            last_gcc = ckpt.gcc;
-            ++fed;
-        }
     }
 };
 
@@ -560,42 +376,32 @@ RingArchiveWriter::~RingArchiveWriter() = default;
 void
 RingArchiveWriter::onCheckpoint(const Recording &rec)
 {
-    if (impl_->is_closed)
-        throw std::logic_error("RingArchiveWriter used after close");
-    impl_->feed(rec);
-    impl_->pump();
+    impl_->pipeline.onCheckpoint(rec);
 }
 
 void
 RingArchiveWriter::close(const Recording &rec)
 {
-    Impl &im = *impl_;
-    if (im.is_closed)
-        throw std::logic_error("RingArchiveWriter::close called twice");
-    im.feed(rec);
-    im.stage(rec, boundaryAtEnd(rec), nullptr); // tail segment
-    im.drain();
-    im.writeIndex(&rec);
-    im.is_closed = true;
+    impl_->pipeline.finish(rec);
+    impl_->sink.writeIndex(&rec);
 }
 
 bool
 RingArchiveWriter::closed() const
 {
-    return impl_->is_closed;
+    return impl_->pipeline.closed();
 }
 
 const std::string &
 RingArchiveWriter::directory() const
 {
-    return impl_->dir;
+    return impl_->sink.dir;
 }
 
 RingWriterStats
 RingArchiveWriter::stats() const
 {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    return impl_->statsd;
+    return impl_->sink.stats();
 }
 
 RingWriterStats
@@ -622,178 +428,106 @@ struct ScannedSegment
 };
 
 /**
- * Parse one candidate segment file. Returns false with @p reason set
- * when the file is structurally invalid (torn, corrupt, or lying
- * about itself) — the salvage path drops it.
+ * Parse one candidate segment file. Returns why it is structurally
+ * invalid (torn, corrupt, or lying about itself) — the salvage path
+ * drops it — or an empty string when it is sound.
  */
-bool
-scanSegmentFile(const std::string &path, unsigned n,
-                ScannedSegment &out, std::string &reason)
+std::string
+scanSegmentFile(const std::string &path, unsigned n, ScannedSegment &out)
 {
-    bool ok = true;
-    const std::vector<std::uint8_t> bytes = readWholeFile(path, ok);
-    if (!ok) {
-        reason = "unreadable";
-        return false;
-    }
-    if (bytes.size() < kSegPreambleBytes) {
-        reason = "shorter than a segment preamble";
-        return false;
-    }
-    if (readU64At(bytes.data(), 0) != kRingSegMagic) {
-        reason = "segment magic missing";
-        return false;
-    }
-    if (readU64At(bytes.data(), 8) != kRingVersion) {
-        reason = "unsupported segment version";
-        return false;
-    }
+    std::vector<std::uint8_t> bytes;
+    if (!readWholeFile(path, bytes))
+        return "unreadable";
+    if (bytes.size() < kSegPreambleBytes)
+        return "shorter than a segment preamble";
+    if (readU64At(bytes.data(), 0) != kRingSegMagic)
+        return "segment magic missing";
+    if (readU64At(bytes.data(), 8) != kRingVersion)
+        return "unsupported segment version";
     const std::uint64_t seg_id = readU64At(bytes.data(), 16);
     const std::uint64_t blob_raw = readU64At(bytes.data(), 24);
     const std::uint64_t blob_comp = readU64At(bytes.data(), 32);
-    const std::uint64_t blob_crc = readU64At(bytes.data(), 40);
     if (blob_raw > kMaxBlobBytes || blob_comp > kMaxBlobBytes
-        || kSegPreambleBytes + blob_comp > bytes.size()) {
-        reason = "torn header";
-        return false;
-    }
-    if (crc32(bytes.data() + kSegPreambleBytes,
-              static_cast<std::size_t>(blob_comp))
-        != blob_crc) {
-        reason = "header CRC mismatch";
-        return false;
-    }
+        || kSegPreambleBytes + blob_comp > bytes.size())
+        return "torn header";
 
     RingSegmentInfo info;
     info.segId = seg_id;
-    std::uint64_t start_raw = 0, start_comp = 0, start_crc = 0;
-    std::uint64_t end_raw = 0, end_comp = 0, end_crc = 0;
-    try {
-        const Lz77 codec;
-        const std::vector<std::uint8_t> blob = codec.decompress(
-            bytes.data() + kSegPreambleBytes,
-            static_cast<std::size_t>(blob_comp));
-        if (blob.size() != blob_raw) {
-            reason = "header decompressed size mismatch";
-            return false;
-        }
-        std::istringstream in(
-            std::string(reinterpret_cast<const char *>(blob.data()),
-                        blob.size()),
+    std::uint64_t off = kSegPreambleBytes;
+    // Inflate the blob at off (header, then the checkpoint images).
+    const auto next = [&](std::uint64_t comp_n, std::uint64_t crc,
+                          std::uint64_t raw_n, const char *what) {
+        const std::vector<std::uint8_t> raw =
+            inflate(bytes.data() + off, comp_n, crc, raw_n,
+                    ArchiveSection::kSegment, seg_id, what);
+        off += comp_n;
+        return std::istringstream(
+            std::string(reinterpret_cast<const char *>(raw.data()),
+                        raw.size()),
             std::ios::binary);
+    };
+    try {
+        std::istringstream in =
+            next(blob_comp, readU64At(bytes.data(), 40), blob_raw,
+                 "header");
         info.startGcc = getU64(in);
         info.endGcc = getU64(in);
         info.isTail = getU64(in) != 0;
+        std::uint64_t start[3] = {}; // raw size, comp size, CRC
+        std::uint64_t end[3] = {};
         info.hasStartCheckpoint = getU64(in) != 0;
-        if (info.hasStartCheckpoint) {
-            start_raw = getU64(in);
-            start_comp = getU64(in);
-            start_crc = getU64(in);
-        }
+        if (info.hasStartCheckpoint)
+            for (std::uint64_t &v : start)
+                v = getU64(in);
         info.hasEndCheckpoint = getU64(in) != 0;
-        if (info.hasEndCheckpoint) {
-            end_raw = getU64(in);
-            end_comp = getU64(in);
-            end_crc = getU64(in);
-        }
+        if (info.hasEndCheckpoint)
+            for (std::uint64_t &v : end)
+                v = getU64(in);
         info.rawBytes = getU64(in);
         info.compBytes = getU64(in);
         info.crc32 = getU64(in);
-    } catch (const RecordingFormatError &) {
-        reason = "malformed header";
-        return false;
-    }
 
-    // Everything the header promises must fit the file exactly:
-    // header, start blob, end blob, payload, nothing else.
-    if (start_raw > kMaxBlobBytes || start_comp > kMaxBlobBytes
-        || end_raw > kMaxBlobBytes || end_comp > kMaxBlobBytes) {
-        reason = "implausible checkpoint blob size";
-        return false;
-    }
-    std::uint64_t off = kSegPreambleBytes + blob_comp;
-    if (off + start_comp + end_comp + info.compBytes
-        != bytes.size()) {
-        reason = "file size disagrees with the header (torn payload?)";
-        return false;
-    }
-    const auto loadCheckpoint =
-        [&bytes](std::uint64_t at, std::uint64_t comp_n,
-                 std::uint64_t raw_n, std::uint64_t crc_want,
-                 SystemCheckpoint &out_ckpt, std::string &why) {
-            if (crc32(bytes.data() + at,
-                      static_cast<std::size_t>(comp_n))
-                != crc_want) {
-                why = "checkpoint blob CRC mismatch";
-                return false;
-            }
-            try {
-                const Lz77 codec;
-                const std::vector<std::uint8_t> blob =
-                    codec.decompress(
-                        bytes.data() + at,
-                        static_cast<std::size_t>(comp_n));
-                if (blob.size() != raw_n) {
-                    why = "checkpoint blob size mismatch";
-                    return false;
-                }
-                std::istringstream in(
-                    std::string(
-                        reinterpret_cast<const char *>(blob.data()),
-                        blob.size()),
-                    std::ios::binary);
-                out_ckpt = getCheckpoint(in);
-            } catch (const RecordingFormatError &) {
-                why = "malformed checkpoint blob";
-                return false;
-            }
-            return true;
-        };
-    if (info.hasStartCheckpoint) {
-        if (!loadCheckpoint(off, start_comp, start_raw, start_crc,
-                            info.startCheckpoint, reason))
-            return false;
-        off += start_comp;
-    }
-    if (info.hasEndCheckpoint) {
-        if (!loadCheckpoint(off, end_comp, end_raw, end_crc,
-                            info.endCheckpoint, reason))
-            return false;
-        off += end_comp;
+        // Everything the header promises must fit the file exactly:
+        // header, start blob, end blob, payload, nothing else.
+        if (start[0] > kMaxBlobBytes || start[1] > kMaxBlobBytes
+            || end[0] > kMaxBlobBytes || end[1] > kMaxBlobBytes)
+            return "implausible checkpoint blob size";
+        if (off + start[1] + end[1] + info.compBytes != bytes.size())
+            return "file size disagrees with the header (torn payload?)";
+        if (info.hasStartCheckpoint) {
+            std::istringstream c =
+                next(start[1], start[2], start[0], "start checkpoint");
+            info.startCheckpoint = getCheckpoint(c);
+        }
+        if (info.hasEndCheckpoint) {
+            std::istringstream c =
+                next(end[1], end[2], end[0], "end checkpoint");
+            info.endCheckpoint = getCheckpoint(c);
+        }
+    } catch (const RecordingFormatError &e) {
+        return e.what();
     }
 
     if (info.endGcc < info.startGcc
-        || (!info.isTail && info.endGcc <= info.startGcc)) {
-        reason = "GCC interval not ascending";
-        return false;
-    }
-    if (info.hasStartCheckpoint != (seg_id > 0)) {
-        reason = "start-checkpoint presence disagrees with the id";
-        return false;
-    }
-    if (info.hasEndCheckpoint == info.isTail) {
-        reason = "end-checkpoint presence disagrees with the tail flag";
-        return false;
-    }
-    if (info.hasStartCheckpoint
-        && (info.startCheckpoint.gcc != info.startGcc
-            || info.startCheckpoint.contexts.size() != n
-            || info.startCheckpoint.committedChunks.size() != n)) {
-        reason = "start checkpoint disagrees with the header";
-        return false;
-    }
-    if (info.hasEndCheckpoint
-        && (info.endCheckpoint.gcc != info.endGcc
-            || info.endCheckpoint.contexts.size() != n
-            || info.endCheckpoint.committedChunks.size() != n)) {
-        reason = "end checkpoint disagrees with the header";
-        return false;
-    }
+        || (!info.isTail && info.endGcc <= info.startGcc))
+        return "GCC interval not ascending";
+    if (info.hasStartCheckpoint != (seg_id > 0))
+        return "start-checkpoint presence disagrees with the id";
+    if (info.hasEndCheckpoint == info.isTail)
+        return "end-checkpoint presence disagrees with the tail flag";
+    const auto fits = [&](const SystemCheckpoint &c, std::uint64_t gcc) {
+        return c.gcc == gcc && c.contexts.size() == n
+               && c.committedChunks.size() == n;
+    };
+    if (info.hasStartCheckpoint && !fits(info.startCheckpoint, info.startGcc))
+        return "start checkpoint disagrees with the header";
+    if (info.hasEndCheckpoint && !fits(info.endCheckpoint, info.endGcc))
+        return "end checkpoint disagrees with the header";
     info.fileBytes = bytes.size();
     out.info = std::move(info);
     out.path = path;
     out.payloadOff = off;
-    return true;
+    return "";
 }
 
 } // namespace
@@ -823,49 +557,20 @@ RingArchiveReader::open(const std::string &dir,
     r.io_ = io;
 
     // ----- ring.meta ------------------------------------------------
-    bool ok = true;
-    const std::vector<std::uint8_t> meta =
-        readWholeFile(dir + "/ring.meta", ok);
-    if (!ok)
+    std::vector<std::uint8_t> meta;
+    if (!readWholeFile(dir + "/ring.meta", meta))
         throw ArchiveError(ArchiveSection::kFileHeader,
                            ArchiveError::kNoSegment,
                            "cannot read " + dir
                                + "/ring.meta (not a ring archive?)");
-    if (meta.size() < kPreambleBytes
-        || readU64At(meta.data(), 0) != kRingMetaMagic)
+    std::istringstream in(std::ios::binary);
+    const std::string meta_error = openBlobFile(meta, kRingMetaMagic, in);
+    if (!meta_error.empty())
         throw ArchiveError(ArchiveSection::kFileHeader,
                            ArchiveError::kNoSegment,
-                           "not a DeLorean ring archive");
-    if (readU64At(meta.data(), 8) != kRingVersion)
-        throw ArchiveError(ArchiveSection::kFileHeader,
-                           ArchiveError::kNoSegment,
-                           "unsupported ring version "
-                               + std::to_string(
-                                   readU64At(meta.data(), 8)));
-    const std::uint64_t meta_blob = readU64At(meta.data(), 24);
-    if (meta_blob > kMaxBlobBytes
-        || kPreambleBytes + meta_blob != meta.size())
-        throw ArchiveError(ArchiveSection::kFileHeader,
-                           ArchiveError::kNoSegment,
-                           "ring.meta truncated");
-    if (crc32(meta.data() + kPreambleBytes,
-              static_cast<std::size_t>(meta_blob))
-        != readU64At(meta.data(), 32))
-        throw ArchiveError(ArchiveSection::kFileHeader,
-                           ArchiveError::kNoSegment,
-                           "ring.meta CRC mismatch");
+                           "ring.meta " + meta_error);
     try {
-        std::istringstream in(
-            std::string(reinterpret_cast<const char *>(meta.data())
-                            + kPreambleBytes,
-                        static_cast<std::size_t>(meta_blob)),
-            std::ios::binary);
-        r.machine_ = getMachine(in);
-        r.mode_ = getMode(in);
-        validateRecordingConfigs(r.machine_, r.mode_);
-        r.app_name_ = getString(in);
-        r.workload_seed_ = getU64(in);
-        r.iterations_percent_ = static_cast<unsigned>(getU64(in));
+        r.run_ = getRunInfo(in);
         r.opts_.budgetBytes = getU64(in);
         r.opts_.checkpointPeriod = getU64(in);
         r.opts_.maxReplayLag = getU64(in);
@@ -876,7 +581,7 @@ RingArchiveReader::open(const std::string &dir,
         throw ArchiveError(ArchiveSection::kFileHeader,
                            ArchiveError::kNoSegment, e.what());
     }
-    const unsigned n = r.machine_.numProcs;
+    const unsigned n = r.run_.machine.numProcs;
 
     // ----- segment scan ---------------------------------------------
     namespace fs = std::filesystem;
@@ -891,8 +596,8 @@ RingArchiveReader::open(const std::string &dir,
     std::vector<ScannedSegment> found;
     for (const std::string &name : names) {
         ScannedSegment s;
-        std::string reason;
-        if (scanSegmentFile(dir + "/" + name, n, s, reason)) {
+        const std::string reason = scanSegmentFile(dir + "/" + name, n, s);
+        if (reason.empty()) {
             found.push_back(std::move(s));
         } else {
             ++r.recovery_.droppedSegments;
@@ -948,60 +653,34 @@ RingArchiveReader::open(const std::string &dir,
     }
 
     // ----- ring.index -----------------------------------------------
-    bool idx_ok = true;
-    const std::vector<std::uint8_t> idx =
-        readWholeFile(dir + "/ring.index", idx_ok);
+    std::vector<std::uint8_t> idx;
+    const bool idx_ok = readWholeFile(dir + "/ring.index", idx);
     bool idx_clean = false;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> idx_live;
     bool idx_valid = false;
+    std::istringstream idx_in(std::ios::binary);
     if (!idx_ok) {
         r.recovery_.notes.push_back(
             "ring.index missing; recovered by scan");
-    } else if (idx.size() < kPreambleBytes
-               || readU64At(idx.data(), 0) != kRingIdxMagic
-               || readU64At(idx.data(), 8) != kRingVersion
-               || readU64At(idx.data(), 24) > kMaxBlobBytes
-               || kPreambleBytes + readU64At(idx.data(), 24)
-                      != idx.size()
-               || crc32(idx.data() + kPreambleBytes,
-                        static_cast<std::size_t>(
-                            readU64At(idx.data(), 24)))
-                      != readU64At(idx.data(), 32)) {
-        r.recovery_.notes.push_back(
-            "ring.index corrupt; recovered by scan");
+    } else if (const std::string why =
+                   openBlobFile(idx, kRingIdxMagic, idx_in);
+               !why.empty()) {
+        r.recovery_.notes.push_back("ring.index " + why
+                                    + "; recovered by scan");
     } else {
         try {
-            std::istringstream in(
-                std::string(
-                    reinterpret_cast<const char *>(idx.data())
-                        + kPreambleBytes,
-                    static_cast<std::size_t>(
-                        readU64At(idx.data(), 24))),
-                std::ios::binary);
-            idx_clean = getU64(in) != 0;
-            const std::uint64_t count = getU64(in);
+            idx_clean = getU64(idx_in) != 0;
+            const std::uint64_t count = getU64(idx_in);
             if (count > kMaxSegmentsPerRing)
                 throw RecordingFormatError(
                     "implausible index segment count");
             for (std::uint64_t i = 0; i < count; ++i) {
-                const std::uint64_t id = getU64(in);
-                const std::uint64_t bytes = getU64(in);
+                const std::uint64_t id = getU64(idx_in);
+                const std::uint64_t bytes = getU64(idx_in);
                 idx_live.emplace_back(id, bytes);
             }
-            if (idx_clean) {
-                for (int k = 0; k < 8; ++k)
-                    r.stats_[k] = getU64(in);
-                const std::uint64_t procs = getU64(in);
-                if (procs != n)
-                    throw RecordingFormatError(
-                        "index fingerprint per-proc count does not "
-                        "match numProcs");
-                for (std::uint64_t p = 0; p < procs; ++p) {
-                    r.per_proc_acc_.push_back(getU64(in));
-                    r.per_proc_retired_.push_back(getU64(in));
-                }
-                r.final_mem_hash_ = getU64(in);
-            }
+            if (idx_clean)
+                r.final_ = getFinalStats(idx_in, n);
             idx_valid = true;
         } catch (const RecordingFormatError &) {
             r.recovery_.notes.push_back(
@@ -1028,11 +707,9 @@ RingArchiveReader::open(const std::string &dir,
         }
     }
     if (!r.recovery_.clean) {
-        r.per_proc_acc_.assign(n, 0);
-        r.per_proc_retired_.assign(n, 0);
-        r.final_mem_hash_ = 0;
-        for (int k = 0; k < 8; ++k)
-            r.stats_[k] = 0;
+        r.final_ = FinalStats{};
+        r.final_.perProcAcc.assign(n, 0);
+        r.final_.perProcRetired.assign(n, 0);
     }
 
     // ----- checkpoint index over boundaries 0..m --------------------
@@ -1137,86 +814,28 @@ RingArchiveReader::segmentPayload(std::size_t pos) const
     if (static_cast<std::uint64_t>(in.gcount()) != info.compBytes)
         throw ArchiveError(ArchiveSection::kSegment, pos,
                            "torn payload in " + seg_paths_[pos]);
-    if (crc32(comp.data(), comp.size()) != info.crc32)
-        throw ArchiveError(ArchiveSection::kSegment, pos,
-                           "payload CRC mismatch");
-    std::vector<std::uint8_t> raw;
-    try {
-        const Lz77 codec;
-        raw = codec.decompress(comp);
-    } catch (const RecordingFormatError &e) {
-        throw ArchiveError(ArchiveSection::kSegment, pos, e.what());
-    }
-    if (raw.size() != info.rawBytes)
-        throw ArchiveError(ArchiveSection::kSegment, pos,
-                           "decompressed size mismatch");
-    return raw;
+    return inflate(comp.data(), info.compBytes, info.crc32,
+                   info.rawBytes, ArchiveSection::kSegment, pos,
+                   "payload");
 }
 
 Recording
 RingArchiveReader::readInterval(std::size_t from, std::size_t to) const
 {
-    if (from >= checkpointCount())
-        throw CheckpointOutOfRangeError(
-            from, checkpointCount(),
-            "interval start checkpoint " + std::to_string(from)
-                + " of " + std::to_string(checkpointCount()));
-    if (to != kToEnd && (to <= from || to >= checkpointCount()))
-        throw CheckpointOutOfRangeError(
-            to, checkpointCount(),
-            "interval [" + std::to_string(from) + ", "
-                + std::to_string(to)
-                + ") is not a valid checkpoint pair");
+    checkInterval(from, to, checkpointCount());
     if (to == kToEnd && !recovery_.clean)
         throw ArchiveError(
             ArchiveSection::kFooter, ArchiveError::kNoSegment,
             "ring was not closed cleanly: final stats are "
             "unavailable, bound the interval at a retained "
             "checkpoint");
-
     const std::size_t lo = ckpt_boundary_[from];
     const std::size_t hi =
         to == kToEnd ? segments_.size() : ckpt_boundary_[to];
-    const unsigned n = machine_.numProcs;
-    Recording rec = skeletonRecording(machine_, mode_, app_name_,
-                                      workload_seed_,
-                                      iterations_percent_);
-    const SystemCheckpoint &start = boundaryCheckpoint(lo);
-    appendSyntheticPrefix(rec, start);
-
-    std::vector<std::uint64_t> io_base;
-    for (const ThreadContext &ctx : start.contexts)
-        io_base.push_back(ctx.ioLoadCount);
-    const std::size_t count = hi - lo;
-    std::vector<SegmentSlice> slices(count);
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(count);
-        for (std::size_t k = 0; k < count; ++k)
-            tasks.push_back([this, &slices, lo, n, k] {
-                slices[k] = decodeSegment(segmentPayload(lo + k), n,
-                                          lo + k);
-            });
-        std::vector<std::exception_ptr> errors;
-        runIndexed(ioPool(), std::move(tasks), errors);
-        for (std::size_t k = 0; k < count; ++k) {
-            if (errors[k])
-                std::rethrow_exception(errors[k]);
-            appendSlice(rec, slices[k], io_base, lo + k,
-                        /*use_masks=*/false);
-            slices[k] = SegmentSlice();
-        }
-    }
-
-    rec.fingerprint.perProcAcc = per_proc_acc_;
-    rec.fingerprint.perProcRetired = per_proc_retired_;
-    rec.fingerprint.finalMemHash = final_mem_hash_;
-    rec.checkpoints.push_back(start);
-    if (to != kToEnd)
-        rec.checkpoints.push_back(
-            boundaryCheckpoint(ckpt_boundary_[to]));
-    validateRecording(rec);
-    return rec;
+    return assembleInterval(
+        run_, final_, ioPool(), boundaryCheckpoint(lo),
+        to == kToEnd ? nullptr : &boundaryCheckpoint(hi), lo, hi - lo,
+        [this](std::size_t pos) { return segmentPayload(pos); });
 }
 
 Recording
@@ -1231,48 +850,13 @@ RingArchiveReader::readAll() const
             0, checkpointCount(),
             "run start evicted: oldest retained segment is "
                 + std::to_string(segments_.front().segId));
-
-    Recording rec = skeletonRecording(machine_, mode_, app_name_,
-                                      workload_seed_,
-                                      iterations_percent_);
-    const unsigned n = machine_.numProcs;
-    std::vector<std::uint64_t> io_base(n, 0);
-    const std::size_t count = segments_.size();
-    std::vector<SegmentSlice> slices(count);
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            tasks.push_back([this, &slices, n, i] {
-                slices[i] =
-                    decodeSegment(segmentPayload(i), n, i);
-            });
-        std::vector<std::exception_ptr> errors;
-        runIndexed(ioPool(), std::move(tasks), errors);
-        for (std::size_t i = 0; i < count; ++i) {
-            if (errors[i])
-                std::rethrow_exception(errors[i]);
-            appendSlice(rec, slices[i], io_base, i,
-                        /*use_masks=*/true);
-            slices[i] = SegmentSlice();
-            if (i + 1 < count)
-                rec.checkpoints.push_back(
-                    segments_[i].endCheckpoint);
-        }
-    }
-    rec.fingerprint.perProcAcc = per_proc_acc_;
-    rec.fingerprint.perProcRetired = per_proc_retired_;
-    rec.fingerprint.finalMemHash = final_mem_hash_;
-    rec.stats.totalCycles = stats_[0];
-    rec.stats.retiredInstrs = stats_[1];
-    rec.stats.executedInstrs = stats_[2];
-    rec.stats.committedChunks = stats_[3];
-    rec.stats.squashes = stats_[4];
-    rec.stats.overflowTruncations = stats_[5];
-    rec.stats.collisionTruncations = stats_[6];
-    rec.stats.hardTruncations = stats_[7];
-    validateRecording(rec);
-    return rec;
+    std::vector<SystemCheckpoint> checkpoints;
+    for (std::size_t i = 0; i + 1 < segments_.size(); ++i)
+        checkpoints.push_back(segments_[i].endCheckpoint);
+    return assembleAll(
+        run_, final_, ioPool(), segments_.size(),
+        [this](std::size_t pos) { return segmentPayload(pos); },
+        std::move(checkpoints));
 }
 
 } // namespace delorean

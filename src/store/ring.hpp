@@ -3,7 +3,7 @@
  * Rotating segmented ring archive: always-on recording with a bounded
  * disk budget and a bounded replay-start lag.
  *
- * The batch `.dla` container (store/archive) holds a whole run; the
+ * The `.dla` container (store/archive) holds a whole run; the
  * ring holds a sliding window of one. A ring is a directory:
  *
  *   ring.meta       one-time metadata (machine, mode, app, knobs)
@@ -19,8 +19,9 @@
  * (This inverts the `.dla` layout, where checkpoints live in a footer
  * written last; a footer is exactly what a crashed recorder never
  * wrote.) The payload bytes for a given checkpoint interval are
- * byte-identical to the batch archive's — both containers share the
- * slice builders in store/archive_detail.hpp.
+ * byte-identical to the `.dla` archive's — both containers run the
+ * same segment pipeline (store/archive_detail.hpp) and differ only in
+ * where a cut segment lands.
  *
  * Availability guarantee (the checkpoint-placement contract): with
  * checkpoints every P commits, a segment spans at most P commits and
@@ -133,9 +134,12 @@ struct RingWriterStats
  * Streams a recording into a ring directory. Drive it exactly like
  * StreamingArchiveWriter: pass it as (or call it from) the engine's
  * onCheckpoint hook while recording, then close(rec) with the
- * finished recording. Segment payload build runs on the caller's
- * thread; compression, file writes, eviction and index rewrites run
- * on a background flusher so recording never blocks on the disk.
+ * finished recording. It is the same segment pipeline with a
+ * different sink: segment payload build runs on the caller's thread;
+ * compression, file writes, eviction and index rewrites run on a
+ * background flusher so recording never blocks on the disk. A write
+ * failure (ArchiveWriteError) surfaces from the next call and closes
+ * the writer, as for StreamingArchiveWriter.
  */
 class RingArchiveWriter
 {
@@ -160,6 +164,7 @@ class RingArchiveWriter
      */
     void close(const Recording &rec);
 
+    /** True once close() was called or a write failed. */
     bool closed() const;
 
     const std::string &directory() const;
@@ -211,11 +216,11 @@ class RingArchiveReader
     RingArchiveReader &operator=(RingArchiveReader &&) noexcept;
     ~RingArchiveReader();
 
-    const MachineConfig &machine() const { return machine_; }
-    const ModeConfig &mode() const { return mode_; }
-    const std::string &appName() const { return app_name_; }
-    std::uint64_t workloadSeed() const { return workload_seed_; }
-    unsigned iterationsPercent() const { return iterations_percent_; }
+    const MachineConfig &machine() const { return run_.machine; }
+    const ModeConfig &mode() const { return run_.mode; }
+    const std::string &appName() const { return run_.app; }
+    std::uint64_t workloadSeed() const { return run_.seed; }
+    unsigned iterationsPercent() const { return run_.iterations; }
     /** The options the ring was recorded with (from ring.meta). */
     const RingOptions &options() const { return opts_; }
 
@@ -273,22 +278,15 @@ class RingArchiveReader
     std::string dir_;
     ArchiveIoOptions io_;
     RingOptions opts_;
-    MachineConfig machine_;
-    ModeConfig mode_;
-    std::string app_name_;
-    std::uint64_t workload_seed_ = 0;
-    unsigned iterations_percent_ = 100;
+    archive_detail::RunInfo run_;
     RingRecoveryInfo recovery_;
     std::vector<RingSegmentInfo> segments_;
     std::vector<std::string> seg_paths_;      ///< parallel to segments_
     std::vector<std::uint64_t> payload_off_;  ///< parallel to segments_
     /// Boundary index (0..segments count) of each checkpoint.
     std::vector<std::size_t> ckpt_boundary_;
-    /// Final stats (clean rings only): engine stats + fingerprint.
-    std::uint64_t stats_[8] = {};
-    std::vector<std::uint64_t> per_proc_acc_;
-    std::vector<std::uint64_t> per_proc_retired_;
-    std::uint64_t final_mem_hash_ = 0;
+    /// Final stats (clean rings only; zeros otherwise).
+    archive_detail::FinalStats final_;
     mutable std::unique_ptr<WorkerPool> pool_;
 };
 

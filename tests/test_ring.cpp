@@ -416,6 +416,50 @@ TEST(Ring, ZeroCheckpointRecording)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Ring, FlushFailurePoisonsWriter)
+{
+    // The ring runs the archive writer's segment pipeline, so a
+    // segment file that cannot be written on the flusher must poison
+    // it the same way: one typed error from the next call, then a
+    // closed writer. A directory planted where segment 1 goes (after
+    // the first hook call has set the ring up) makes that write fail.
+    const std::string dir = ringDir("poison");
+    RingOptions opts;
+    opts.checkpointPeriod = 20;
+    opts.io.ioThreads = 2;
+    RingArchiveWriter writer(dir, opts);
+    int calls = 0;
+    int write_errors = 0;
+    int rejected = 0;
+    Workload w("fft", 4, 9, WorkloadScale::tiny());
+    Recorder recorder(ModeConfig::orderOnly(), machine());
+    const Recording rec = recorder.record(
+        w, 1, true, {}, 20, [&](const Recording &r) {
+            try {
+                writer.onCheckpoint(r);
+            } catch (const ArchiveWriteError &) {
+                ++write_errors;
+            } catch (const std::logic_error &) {
+                ++rejected;
+            }
+            if (++calls == 1)
+                std::filesystem::create_directory(
+                    dir + "/seg-000000000001");
+        });
+    ASSERT_GE(rec.checkpoints.size(), 2u);
+    EXPECT_LE(write_errors, 1);
+    if (write_errors == 0) {
+        EXPECT_EQ(rejected, 0);
+        EXPECT_THROW(writer.close(rec), ArchiveWriteError);
+    } else {
+        EXPECT_THROW(writer.close(rec), std::logic_error);
+    }
+    EXPECT_TRUE(writer.closed());
+    EXPECT_THROW(writer.onCheckpoint(rec), std::logic_error);
+    EXPECT_THROW(writer.close(rec), std::logic_error);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Ring, OpenRejectsNonRingDirectories)
 {
     EXPECT_FALSE(RingArchiveReader::looksLikeRing(

@@ -175,7 +175,7 @@ removeArchives(const ServeReport &report, const std::string &dir)
 TEST(Serve, SoakLedgerDeterministicAcrossWidths)
 {
     // Mixed classes over two recording keys, with streamed archives
-    // cross-checked against the batch writer in-run. The ledger (and
+    // cross-checked against writeArchive() in-run. The ledger (and
     // the archives) must not depend on the worker-pool width.
     const std::vector<ServeJob> jobs = soakJobs();
 

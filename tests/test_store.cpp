@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
 
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
@@ -346,9 +349,10 @@ TEST(Store, FileReadsIdenticalAcrossMmapAndIoThreads)
 
 TEST(Store, StreamingWriterByteIdenticalAllModes)
 {
-    // The incremental writer — fed one checkpoint at a time from the
-    // record loop, or the whole recording at close() — must emit
-    // exactly the batch writer's bytes, at any codec worker count.
+    // Hook-fed emission (one checkpoint at a time from the record
+    // loop) must equal close-fed emission (the whole recording at
+    // close(), which is what writeArchive() does), at any codec worker
+    // count. The bytes themselves are pinned by test_format_freeze.
     for (const auto &[mode_name, mode] : allModes()) {
         for (const unsigned threads : {1u, 4u}) {
             Workload w("radix", 4, 9, WorkloadScale::tiny());
@@ -510,7 +514,7 @@ TEST(Store, StreamingWriterCloseDuringFlush)
 TEST(Store, StreamingWriterZeroCheckpointRecording)
 {
     // A recording with no checkpoints streams to a single tail
-    // segment and must still match the batch writer byte for byte.
+    // segment and must still match writeArchive() byte for byte.
     Workload w("fft", 4, 9, WorkloadScale::tiny());
     Recorder recorder(ModeConfig::orderOnly(), machine());
     const Recording rec = recorder.record(w, 1);
@@ -532,6 +536,95 @@ TEST(Store, StreamingWriterZeroCheckpointRecording)
     EXPECT_EQ(reader.checkpointCount(), 0u);
     EXPECT_EQ(savedBytes(reader.readAll()), savedBytes(rec));
     EXPECT_THROW(reader.readInterval(0), CheckpointOutOfRangeError);
+}
+
+TEST(Store, WriteArchiveFileToFullDeviceThrows)
+{
+    // A few hundred bytes in writes of under 1 KiB: the file stream
+    // buffers all of it, so the device refuses the archive only when
+    // the file is flushed and closed. That must still surface as a
+    // typed error, never a silent short file.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    Workload w("fft", 4, 9, WorkloadScale{1});
+    Recorder recorder(ModeConfig::orderOnly(), machine());
+    const Recording rec = recorder.record(w, 1);
+    ASSERT_LT(archiveBytes(rec).size(), 1024u);
+    EXPECT_THROW(writeArchiveFile(rec, "/dev/full"), ArchiveWriteError);
+}
+
+/** Accepts the first @p limit bytes, then fails every write. */
+class FailingBuf : public std::streambuf
+{
+  public:
+    explicit FailingBuf(std::streamsize limit) : left_(limit) {}
+
+  protected:
+    int_type
+    overflow(int_type c) override
+    {
+        if (traits_type::eq_int_type(c, traits_type::eof()))
+            return traits_type::not_eof(c);
+        if (left_ == 0)
+            return traits_type::eof();
+        --left_;
+        return c;
+    }
+
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        const std::streamsize taken = std::min(n, left_);
+        left_ -= taken;
+        return taken;
+    }
+
+  private:
+    std::streamsize left_;
+};
+
+TEST(Store, StreamingWriterFlushFailurePoisonsWriter)
+{
+    // The stream takes the 16-byte file header (written on the
+    // recording thread) and then fails, so the first segment commit —
+    // on the background flusher — goes bad. That failure must come
+    // back exactly once, typed, from the next onCheckpoint() or from
+    // close(), and leave the writer closed: every later call is a
+    // logic error.
+    for (const unsigned threads : {1u, 2u}) {
+        Workload w("fft", 4, 9, WorkloadScale::tiny());
+        Recorder recorder(ModeConfig::orderOnly(), machine());
+        FailingBuf buf(64);
+        std::ostream out(&buf);
+        StreamingArchiveWriter writer(out,
+                                      ArchiveIoOptions{threads, true});
+        int write_errors = 0;
+        int rejected = 0;
+        const Recording rec = recorder.record(
+            w, 1, true, {}, 20, [&](const Recording &r) {
+                try {
+                    writer.onCheckpoint(r);
+                } catch (const ArchiveWriteError &) {
+                    ++write_errors;
+                    EXPECT_TRUE(writer.closed());
+                } catch (const std::logic_error &) {
+                    ++rejected;
+                }
+            });
+        ASSERT_GE(rec.checkpoints.size(), 2u);
+        EXPECT_LE(write_errors, 1) << "threads=" << threads;
+        if (write_errors == 0) {
+            EXPECT_EQ(rejected, 0);
+            EXPECT_FALSE(writer.closed());
+            EXPECT_THROW(writer.close(rec), ArchiveWriteError)
+                << "threads=" << threads;
+        } else {
+            EXPECT_THROW(writer.close(rec), std::logic_error);
+        }
+        EXPECT_TRUE(writer.closed());
+        EXPECT_THROW(writer.onCheckpoint(rec), std::logic_error);
+        EXPECT_THROW(writer.close(rec), std::logic_error);
+    }
 }
 
 TEST(Store, ArchiveMagicSniffRejectsRecording)

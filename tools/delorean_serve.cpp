@@ -51,7 +51,7 @@ usage(const char *argv0)
         "  --io-threads N        archive codec worker count "
         "(default: DELOREAN_JOBS)\n"
         "  --verify              cross-check streamed archives "
-        "against the batch writer\n"
+        "against writeArchive\n"
         "  --throughput          append wall-clock figures to the "
         "ledger\n"
         "  --quiet               suppress per-session progress on "
