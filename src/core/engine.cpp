@@ -5,7 +5,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -60,20 +59,6 @@ ChunkEngine::ChunkEngine(const Workload &workload,
     if (n_ < 1 || n_ > 64)
         throw ConfigError("numProcs must be in [1, 64], got "
                           + std::to_string(n_));
-    if (const char *env = std::getenv("DELOREAN_NO_SUMMARY_FILTER"))
-        if (*env && *env != '0')
-            filter_mode_ = FilterMode::kForceOff;
-    if (filter_mode_ == FilterMode::kAdaptive) {
-        if (const char *env = std::getenv("DELOREAN_SUMMARY_FILTER")) {
-            const std::string v(env);
-            if (v == "0" || v == "off")
-                filter_mode_ = FilterMode::kForceOff;
-            else if (!v.empty())
-                filter_mode_ = FilterMode::kForceOn;
-        }
-    }
-    summary_filter_ = filter_mode_ != FilterMode::kForceOff;
-    proc_unions_.resize(n_);
     workload_.initializeMemory(mem_);
     const unsigned l1_sets =
         machine_.mem.l1SizeBytes / kLineBytes / machine_.mem.l1Ways;
@@ -813,7 +798,6 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
         std::max<Cycle>(1, static_cast<Cycle>(cost + 0.5));
     c.finishTime = now + duration;
     schedule(now + duration, EvKind::kChunkDone, p, c.extra.uid);
-    noteChunkInflight(p, c);
     ps.inflight.push_back(std::move(chunk));
 }
 
@@ -905,7 +889,6 @@ ChunkEngine::squashFrom(ProcId p, std::size_t idx, Cycle now)
     }
     ps.inflight.erase(ps.inflight.begin() + static_cast<long>(idx),
                       ps.inflight.end());
-    rebuildProcUnion(p);
 
     ps.pendingRemainder = 0;
     ps.nextSeq = r.seq;
@@ -942,25 +925,18 @@ bool
 ChunkEngine::sigConflict(const SignaturePair &running,
                          const Signature &wsig)
 {
-    if (!summary_filter_)
-        return running.read.intersectsWords(wsig)
-               || running.write.intersectsWords(wsig);
-    bool conflict = false;
-    if (wsig.summaryIntersects(running.read)) {
-        ++stats_.sigSummaryHits;
-        conflict = wsig.intersectsWords(running.read);
-    } else {
-        ++stats_.sigSummaryRejects;
-    }
-    if (!conflict) {
-        if (wsig.summaryIntersects(running.write)) {
-            ++stats_.sigSummaryHits;
-            conflict = wsig.intersectsWords(running.write);
-        } else {
+    // Per-pair summary precheck: a pair whose per-bank summaries miss
+    // cannot intersect, so the word walk runs only on a summary hit.
+    for (const Signature *sig : {&running.read, &running.write}) {
+        if (!wsig.summaryIntersects(*sig)) {
             ++stats_.sigSummaryRejects;
+            continue;
         }
+        ++stats_.sigSummaryHits;
+        if (wsig.intersectsWords(*sig))
+            return true;
     }
-    return conflict;
+    return false;
 }
 
 void
@@ -970,21 +946,10 @@ ChunkEngine::sweepConflicts(ProcId committing,
 {
     if (write_lines.empty())
         return; // an empty write set can never conflict
-    bool walked = false;
     for (ProcId q = 0; q < n_; ++q) {
         if (q == committing)
             continue;
         auto &other = procs_[q].inflight;
-        if (other.empty())
-            continue;
-        // The per-processor union over-approximates every in-flight
-        // chunk's signatures, so a committing write that misses it in
-        // any bank cannot conflict with any of q's chunks — even
-        // under exact disambiguation, where a line conflict implies a
-        // signature conflict.
-        if (summary_filter_ && !write_sig.intersects(proc_unions_[q]))
-            continue;
-        walked = true;
         for (std::size_t k = 0; k < other.size(); ++k) {
             if (conflictsWith(*other[k], write_lines, write_sig)) {
                 squashFrom(q, k, now);
@@ -992,85 +957,7 @@ ChunkEngine::sweepConflicts(ProcId committing,
             }
         }
     }
-    if (summary_filter_ && !walked)
-        ++stats_.unionSweepSkips;
-    else
-        ++stats_.conflictSweeps;
-    if (filter_mode_ == FilterMode::kAdaptive)
-        maybeAdaptFilter();
-}
-
-void
-ChunkEngine::maybeAdaptFilter()
-{
-    if (summary_filter_) {
-        if (++filter_window_sweeps_ < kFilterProbeWindow)
-            return;
-        const std::uint64_t rejects =
-            stats_.sigSummaryRejects - filter_window_rejects_;
-        const std::uint64_t hits =
-            stats_.sigSummaryHits - filter_window_hits_;
-        const std::uint64_t skips =
-            stats_.unionSweepSkips - filter_window_skips_;
-        // The filter pays for itself when the summary prechecks
-        // reject often (each reject saves a full word sweep) or the
-        // per-proc unions skip whole processors. Below a 25% benefit
-        // rate on both counts the prechecks and union upkeep are pure
-        // overhead — exactly the conflict-heavy profile where every
-        // summary intersects — so drop them until the next re-probe.
-        const std::uint64_t tests = rejects + hits;
-        const bool summaries_pay = tests != 0 && rejects * 4 >= tests;
-        const bool unions_pay = skips * 4 >= filter_window_sweeps_;
-        if (!summaries_pay && !unions_pay) {
-            summary_filter_ = false;
-            filter_off_sweeps_ = 0;
-            ++stats_.sigFilterDeactivations;
-        }
-        filter_window_sweeps_ = 0;
-        filter_window_hits_ = stats_.sigSummaryHits;
-        filter_window_rejects_ = stats_.sigSummaryRejects;
-        filter_window_skips_ = stats_.unionSweepSkips;
-    } else {
-        if (++filter_off_sweeps_ < kFilterReprobePeriod)
-            return;
-        // Re-probe: union upkeep was suspended while the filter was
-        // off, so rebuild every processor's in-flight union before
-        // trusting it again.
-        summary_filter_ = true;
-        filter_off_sweeps_ = 0;
-        filter_window_sweeps_ = 0;
-        filter_window_hits_ = stats_.sigSummaryHits;
-        filter_window_rejects_ = stats_.sigSummaryRejects;
-        filter_window_skips_ = stats_.unionSweepSkips;
-        for (ProcId p = 0; p < n_; ++p)
-            rebuildProcUnion(p);
-    }
-}
-
-void
-ChunkEngine::noteChunkInflight(ProcId p, const EngineChunk &chunk)
-{
-    if (!summary_filter_)
-        return; // unions are rebuilt wholesale on re-probe
-    proc_unions_[p].unionWith(chunk.sigs.read);
-    proc_unions_[p].unionWith(chunk.sigs.write);
-}
-
-void
-ChunkEngine::rebuildProcUnion(ProcId p)
-{
-    // The union cannot subtract, so recompute it from the processor's
-    // surviving chunks whenever one leaves the window. clear() is an
-    // epoch bump and the window holds only a handful of chunks, so
-    // this stays cheap enough to run on every commit and squash.
-    if (!summary_filter_)
-        return;
-    Signature &u = proc_unions_[p];
-    u.clear();
-    for (const auto &c : procs_[p].inflight) {
-        u.unionWith(c->sigs.read);
-        u.unionWith(c->sigs.write);
-    }
+    ++stats_.conflictSweeps;
 }
 
 unsigned
@@ -1612,7 +1499,6 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
     ps.inflight.pop_front();
     sweepConflicts(p, committed->writtenLines, committed->sigs.write, now);
     recycleChunk(std::move(committed));
-    rebuildProcUnion(p);
 
     // ----- resume this processor ------------------------------------------
     ps.blockedOnOverflow = false;

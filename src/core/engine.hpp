@@ -318,56 +318,16 @@ class ChunkEngine
                        const std::vector<Addr> &write_lines,
                        const Signature &write_sig);
 
-    // ----- commit fast path ----------------------------------------------
-    /// Summary-filtered signature intersection with stats accounting.
+    // ----- commit conflict check ----------------------------------------
+    /// Signature intersection behind a per-pair summary precheck,
+    /// counted in EngineStats::sigSummaryHits/sigSummaryRejects.
     bool sigConflict(const SignaturePair &running,
                      const Signature &write_sig);
     /// Squash every running chunk conflicting with a committed write
-    /// set; processors whose in-flight union provably misses the
-    /// write signature are skipped without walking their chunks.
+    /// set: each other processor's window is walked oldest first and
+    /// squashed from its first conflicting chunk.
     void sweepConflicts(ProcId committing, const std::vector<Addr> &wlines,
                         const Signature &wsig, Cycle now);
-    void noteChunkInflight(ProcId p, const EngineChunk &chunk);
-    void rebuildProcUnion(ProcId p);
-
-    /// Summary-filter policy. DELOREAN_SUMMARY_FILTER=on forces the
-    /// filter, =off (or the original DELOREAN_NO_SUMMARY_FILTER=1
-    /// escape hatch) falls back to full word-level intersections and
-    /// per-chunk sweeps, and unset runs the adaptive policy: probe
-    /// windows of commit sweeps measure the summary reject rate and
-    /// the union sweep-skip rate, and the filter is dropped while the
-    /// workload's conflict profile makes its prechecks pure overhead
-    /// (summaries almost always intersecting), re-probing periodically
-    /// in case the profile shifts. Never architectural: the recording
-    /// is byte-identical under every policy.
-    enum class FilterMode : std::uint8_t
-    {
-        kAdaptive,
-        kForceOn,
-        kForceOff,
-    };
-    FilterMode filter_mode_ = FilterMode::kAdaptive;
-    /// Current filter state (fixed for forced modes).
-    bool summary_filter_ = true;
-    /// Adaptive bookkeeping: sweeps observed in the open probe window,
-    /// counter snapshots at its start, and sweeps spent filtered off.
-    std::uint64_t filter_window_sweeps_ = 0;
-    std::uint64_t filter_window_hits_ = 0;
-    std::uint64_t filter_window_rejects_ = 0;
-    std::uint64_t filter_window_skips_ = 0;
-    std::uint64_t filter_off_sweeps_ = 0;
-    void maybeAdaptFilter();
-    /// Sweeps per probe window; small so a filter-hostile workload
-    /// sheds the overhead early in the run.
-    static constexpr std::uint64_t kFilterProbeWindow = 128;
-    /// Sweeps spent unfiltered before probing again.
-    static constexpr std::uint64_t kFilterReprobePeriod = 4096;
-    /// Per-processor OR of that processor's in-flight chunk R and W
-    /// signatures. Exact over the live window: rebuilt whenever
-    /// chunks leave it (commit pop or squash), which is cheap because
-    /// a processor holds at most a handful of simultaneous chunks and
-    /// clear() is an epoch bump.
-    std::vector<Signature> proc_unions_;
 
     // ----- arbiter -------------------------------------------------------
     void arbiterProcess(Cycle now);

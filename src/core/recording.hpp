@@ -47,24 +47,17 @@ struct EngineStats
     std::uint64_t hardTruncations = 0; ///< I/O, special instructions
     std::uint64_t replaySplitChunks = 0; ///< unexpected-overflow splits
 
-    // --- commit fast path (arbiter conflict filtering) -----------------
+    // --- commit conflict check ------------------------------------------
     /// Signature pairs whose per-bank summaries intersected, forcing
-    /// the full word walk.
+    /// the full word walk (BulkSC signatures only; exact line-set
+    /// disambiguation never consults the signatures).
     std::uint64_t sigSummaryHits = 0;
-    /// Signature pairs rejected by the summary filter alone — full
+    /// Signature pairs rejected by the summary precheck alone — full
     /// 2048-bit intersections avoided.
     std::uint64_t sigSummaryRejects = 0;
-    /// Commit-time conflict sweeps that walked no processor: every
-    /// per-processor in-flight union missed the write signature (or
-    /// the other processors were idle).
-    std::uint64_t unionSweepSkips = 0;
-    /// Commit-time conflict sweeps that did walk running chunks.
+    /// Commit-time conflict sweeps over the other processors' running
+    /// chunks (one per commit with a non-empty write set).
     std::uint64_t conflictSweeps = 0;
-    /// Adaptive summary filter: probe windows that measured the
-    /// filter as pure overhead and dropped it (see
-    /// ChunkEngine::maybeAdaptFilter). Always 0 under the forced
-    /// DELOREAN_SUMMARY_FILTER=on/off policies.
-    std::uint64_t sigFilterDeactivations = 0;
     /// Same-cycle arbiter wakeups merged into one drain pass.
     std::uint64_t arbiterWakeupsCoalesced = 0;
 

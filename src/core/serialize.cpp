@@ -31,8 +31,7 @@ namespace
 constexpr std::uint64_t kMagic = 0x44654C6F5265634Full; // "DeLoRecO"
 /// v2 (sharded arbitration): numArbiters joins the machine header and
 /// the PI section gains a has-masks flag plus optional per-entry shard
-/// masks. v1 total-order recordings still load (numArbiters = 1, no
-/// mask section).
+/// masks. Only v2 loads; a v1 stream is rejected as unsupported.
 constexpr std::uint32_t kVersion = 2;
 
 /** Throw RecordingFormatError unless cond; @p what names the field. */
@@ -315,13 +314,11 @@ loadRecording(std::istream &in)
 {
     if (getU64(in) != kMagic)
         throw RecordingFormatError("not a DeLorean recording");
-    const std::uint64_t version = getU64(in);
-    if (version != 1 && version != kVersion)
+    if (getU64(in) != kVersion)
         throw RecordingFormatError("unsupported recording version");
-    const bool legacy_v1 = version == 1;
 
     Recording rec;
-    rec.machine = getMachine(in, legacy_v1);
+    rec.machine = getMachine(in);
     rec.mode = getMode(in);
     // Everything below is sized or indexed by the header fields, so
     // they must be in range before any section is materialized.
@@ -345,11 +342,8 @@ loadRecording(std::istream &in)
                     + std::to_string(p));
         pi_entries.push_back(p);
     }
-    std::uint64_t has_masks = 0;
-    if (!legacy_v1) {
-        has_masks = getU64(in);
-        require(has_masks <= 1, "PI mask flag is not 0 or 1");
-    }
+    const std::uint64_t has_masks = getU64(in);
+    require(has_masks <= 1, "PI mask flag is not 0 or 1");
     if (has_masks != 0) {
         const unsigned shards = rec.machine.bulk.numArbiters;
         require(shards >= 2,

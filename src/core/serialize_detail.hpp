@@ -142,12 +142,9 @@ putMachine(std::ostream &out, const MachineConfig &m)
     putU64(out, m.bulk.numArbiters);
 }
 
-/**
- * @param legacy_v1 parse the 11-field v1 header, which predates the
- *        sharded arbiter hierarchy; numArbiters reads as 1.
- */
+/** Read the 12-field machine header putMachine() writes. */
 inline MachineConfig
-getMachine(std::istream &in, bool legacy_v1 = false)
+getMachine(std::istream &in)
 {
     MachineConfig m;
     m.numProcs = static_cast<unsigned>(getU64(in));
@@ -162,8 +159,7 @@ getMachine(std::istream &in, bool legacy_v1 = false)
     m.bulk.collisionBackoffThreshold =
         static_cast<unsigned>(getU64(in));
     m.bulk.exactDisambiguation = getU64(in) != 0;
-    m.bulk.numArbiters = legacy_v1 ? 1
-                                   : static_cast<unsigned>(getU64(in));
+    m.bulk.numArbiters = static_cast<unsigned>(getU64(in));
     return m;
 }
 

@@ -1,5 +1,6 @@
 #include "sim/campaign.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cstdio>
@@ -39,43 +40,9 @@ CampaignRunner::run(std::vector<std::function<void()>> tasks) const
 {
     if (tasks.empty())
         return;
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(jobs_, tasks.size()));
-    if (workers <= 1) {
-        for (auto &task : tasks)
-            task();
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::mutex err_mu;
-    std::exception_ptr first_error;
-
-    auto worker = [&] {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= tasks.size())
-                return;
-            try {
-                tasks[i]();
-            } catch (...) {
-                std::lock_guard<std::mutex> guard(err_mu);
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (unsigned t = 0; t + 1 < workers; ++t)
-        threads.emplace_back(worker);
-    worker();
-    for (auto &thread : threads)
-        thread.join();
-    if (first_error)
-        std::rethrow_exception(first_error);
+    WorkerPool pool(static_cast<unsigned>(
+        std::min<std::size_t>(jobs_, tasks.size())));
+    pool.runBatch(tasks);
 }
 
 // ---------------------------------------------------------------------------

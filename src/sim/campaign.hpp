@@ -61,10 +61,12 @@ class CampaignRunner
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Execute every task, fanning across min(jobs, tasks) workers.
-     * Tasks run in any order; call-site result slots (captured by
-     * index) make the outcome order-independent. The first exception
-     * thrown by a task is rethrown here after all workers drain.
+     * Execute every task on a WorkerPool of min(jobs, tasks) workers
+     * built for this call. Tasks run in any order; call-site result
+     * slots (captured by index) make the outcome order-independent.
+     * Every task runs at every width, even after one throws; the
+     * first exception thrown by a task is rethrown here after the
+     * batch drains.
      */
     void run(std::vector<std::function<void()>> tasks) const;
 
@@ -89,16 +91,16 @@ class CampaignRunner
 };
 
 /**
- * Persistent variant of the campaign substrate: a fixed set of worker
- * threads executing batches of index-keyed tasks. CampaignRunner
- * spawns threads per run() call, which is fine for campaigns whose
- * tasks last seconds; schedulers that dispatch thousands of small
- * batches (the chunk-parallel replayer's per-wave fan-out) need
- * workers that survive between batches. Results are index-keyed
- * exactly like CampaignRunner's, so batch outcomes are independent of
- * worker count; the first exception a batch raises is rethrown from
- * runBatch() after the batch drains. With one job the pool spawns no
- * threads and runBatch() runs inline on the caller.
+ * The campaign executor: a fixed set of worker threads executing
+ * batches of index-keyed tasks. CampaignRunner builds one per run()
+ * call, which is fine for campaigns whose tasks last seconds;
+ * schedulers that dispatch thousands of small batches (the
+ * chunk-parallel replayer's per-wave fan-out) keep one alive between
+ * batches. Results are index-keyed, so batch outcomes are independent
+ * of worker count; every task of a batch runs, and the first
+ * exception the batch raises is rethrown from runBatch() after the
+ * batch drains. With one job the pool spawns no threads and
+ * runBatch() runs inline on the caller.
  */
 class WorkerPool
 {

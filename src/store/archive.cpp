@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "core/serialize.hpp"
@@ -373,7 +372,8 @@ ArchiveReader::fromFile(const std::string &path,
     }
     std::vector<std::uint8_t> bytes;
     if (!readWholeFile(path, bytes))
-        throw std::runtime_error("cannot open " + path);
+        throw ArchiveError(ArchiveSection::kFileHeader,
+                           ArchiveError::kNoSegment, "cannot open " + path);
     return fromBytes(std::move(bytes), io);
 }
 

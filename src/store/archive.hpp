@@ -297,7 +297,8 @@ class ArchiveReader
     /**
      * Open @p path: mmap'ed zero-copy when io.mmapReads is set and
      * the platform cooperates, buffered otherwise. Both paths parse,
-     * CRC-check, and fail identically.
+     * CRC-check, and fail identically; a missing or unreadable file
+     * raises ArchiveError (kFileHeader, kNoSegment).
      */
     static ArchiveReader fromFile(const std::string &path,
                                   const ArchiveIoOptions &io = {});

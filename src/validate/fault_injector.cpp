@@ -81,8 +81,9 @@ struct MaskSection
  * Locate the v2 shard-mask section in a serialized recording by
  * walking the fixed header layout: magic + version + machine(12) +
  * mode(7) u64s, appName string, seed, iterations, PI count, PI
- * entries, has-masks flag, masks. Returns nullopt for v1 streams,
- * total-order v2 streams, and anything too short to hold the walk.
+ * entries, has-masks flag, masks. Returns nullopt for streams whose
+ * version word is not 2, total-order streams, and anything too short
+ * to hold the walk.
  */
 std::optional<MaskSection>
 findMaskSection(const std::string &bytes)

@@ -66,19 +66,30 @@ TEST(CampaignRunner, MapKeysResultsByJobIndex)
 
 TEST(CampaignRunner, PropagatesTaskException)
 {
-    CampaignRunner runner(4);
-    std::atomic<int> ran{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 16; ++i) {
-        tasks.push_back([&ran, i] {
-            ++ran;
-            if (i == 7)
-                throw std::runtime_error("job 7 failed");
-        });
+    for (const unsigned width : {1u, 4u}) {
+        CampaignRunner runner(width);
+        std::atomic<int> ran{0};
+        std::vector<std::function<void()>> tasks;
+        for (int i = 0; i < 16; ++i) {
+            tasks.push_back([&ran, i] {
+                ++ran;
+                if (i == 7 || i == 11)
+                    throw std::runtime_error("job " + std::to_string(i)
+                                             + " failed");
+            });
+        }
+        try {
+            runner.run(std::move(tasks));
+            ADD_FAILURE() << "no exception at width " << width;
+        } catch (const std::runtime_error &e) {
+            // Serially, the first error is the first failing task's.
+            if (width == 1) {
+                EXPECT_STREQ(e.what(), "job 7 failed");
+            }
+        }
+        // All tasks still ran; the failure is reported, not amplified.
+        EXPECT_EQ(ran.load(), 16) << "width " << width;
     }
-    EXPECT_THROW(runner.run(std::move(tasks)), std::runtime_error);
-    // All tasks still ran; the failure is reported, not amplified.
-    EXPECT_EQ(ran.load(), 16);
 }
 
 TEST(RecordingCache, RecordsEachKeyExactlyOnce)

@@ -18,6 +18,7 @@
 #include <sstream>
 
 #include "core/delorean.hpp"
+#include "core/serialize.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
 
@@ -90,6 +91,29 @@ manifest(const std::string &label, const ModeConfig &mode,
         std::filesystem::remove_all(dir);
     }
     return lines;
+}
+
+/**
+ * saveRecording() bytes of one fft recording under BulkSC Bloom
+ * signatures (exactDisambiguation off): conflicts are found by
+ * Signature::intersects, and stratified recording folds commits
+ * through Signature::unionWith, so a change to either sweep that
+ * moves a squash or a stratum boundary moves these bytes.
+ */
+std::string
+bloomRecordingDigest(const ModeConfig &mode)
+{
+    MachineConfig machine;
+    machine.numProcs = 4;
+    machine.bulk.exactDisambiguation = false;
+    const Workload w("fft", 4, 9, WorkloadScale::tiny());
+    const Recording rec = Recorder(mode, machine).record(w, 1);
+    // The digest only guards the sweeps if they squashed something.
+    EXPECT_GT(rec.stats.squashes, 0u);
+    EXPECT_GT(rec.stats.sigSummaryHits, 0u);
+    std::ostringstream out(std::ios::binary);
+    saveRecording(rec, out);
+    return digest(std::move(out).str());
 }
 
 ModeConfig
@@ -201,6 +225,24 @@ TEST(FormatFreeze, PicoLog)
               "evict/seg-000000000006 129155:864a8297454400c1\n"
               "evict/seg-000000000007 142301:72bbfb9f078d9bb0\n"
               "evict/seg-000000000008 76065:a3fe76acf6d96dfd\n");
+}
+
+TEST(FormatFreeze, BloomOrderOnlyRecording)
+{
+    EXPECT_EQ(bloomRecordingDigest(ModeConfig::orderOnly()),
+              "6635:506a2ba578f1629b");
+}
+
+TEST(FormatFreeze, BloomStratifiedRecording)
+{
+    EXPECT_EQ(bloomRecordingDigest(stratified()),
+              "10659:96a4db8bfc7b2a45");
+}
+
+TEST(FormatFreeze, BloomOrderAndSizeRecording)
+{
+    EXPECT_EQ(bloomRecordingDigest(ModeConfig::orderAndSize()),
+              "10803:f3bd0455cdd35d50");
 }
 
 } // namespace

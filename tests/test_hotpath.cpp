@@ -1,23 +1,20 @@
 /**
  * @file
- * Tests for the arbiter commit fast path: the summary/union conflict
- * filters must be invisible to the architecture (byte-identical
- * recordings with the filter on and off), and the epoch-cleared flat
- * maps backing it must behave like their straightforward reference
- * counterparts under churn.
+ * Tests for the arbiter commit conflict check — the summary precheck
+ * counters must track the disambiguation mode, and a Bloom-signature
+ * recording must replay deterministically — and for the epoch-cleared
+ * flat maps behind the engine's hot path, which must behave like
+ * their straightforward reference counterparts under churn.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 
 #include "common/rng.hpp"
 #include "common/word_map.hpp"
 #include "core/recorder.hpp"
-#include "core/serialize.hpp"
 #include "memory/memory_state.hpp"
 
 namespace delorean
@@ -27,73 +24,36 @@ namespace
 
 constexpr std::uint64_t kSeed = 20080621;
 
-std::string
-serialized(const Recording &rec)
-{
-    std::ostringstream out;
-    saveRecording(rec, out);
-    return out.str();
-}
-
 Recording
-recordSmall(const char *app, bool exact_disambiguation, bool filter,
-            const ModeConfig &mode = ModeConfig::orderOnly())
+recordSmall(const char *app, bool exact_disambiguation)
 {
-    if (filter)
-        unsetenv("DELOREAN_NO_SUMMARY_FILTER");
-    else
-        setenv("DELOREAN_NO_SUMMARY_FILTER", "1", 1);
     MachineConfig machine;
     machine.bulk.exactDisambiguation = exact_disambiguation;
     const Workload workload(app, machine.numProcs, kSeed,
                             WorkloadScale{3});
-    Recording rec = Recorder(mode, machine).record(workload, 7);
-    unsetenv("DELOREAN_NO_SUMMARY_FILTER");
-    return rec;
-}
-
-// The filters are pure short-circuits: disabling them via the escape
-// hatch must reproduce the exact same recording — in every execution
-// mode, under both exact and signature disambiguation.
-TEST(CommitFastPath, FilterOnOffRecordingsByteIdentical)
-{
-    const std::pair<const char *, ModeConfig> modes[] = {
-        {"order-and-size", ModeConfig::orderAndSize()},
-        {"order-only", ModeConfig::orderOnly()},
-        {"picolog", ModeConfig::picoLog()},
-    };
-    for (const auto &[name, mode] : modes) {
-        for (const bool exact : {true, false}) {
-            const Recording with =
-                recordSmall("radix", exact, true, mode);
-            const Recording without =
-                recordSmall("radix", exact, false, mode);
-            EXPECT_EQ(serialized(with), serialized(without))
-                << name << " exactDisambiguation=" << exact;
-        }
-    }
+    return Recorder(ModeConfig::orderOnly(), machine).record(workload, 7);
 }
 
 TEST(CommitFastPath, FilteredRecordingReplaysDeterministically)
 {
-    const Recording rec = recordSmall("fft", false, true);
+    const Recording rec = recordSmall("fft", false);
     const ReplayOutcome out = Replayer().replay(rec, /*env_seed=*/99);
     EXPECT_TRUE(out.deterministicExact);
 }
 
-// The filter counters only move when the filter is on; with the
-// escape hatch set, every sweep takes the unfiltered path.
-TEST(CommitFastPath, EscapeHatchDisablesFilterCounters)
+// Exact line-set disambiguation never consults the signatures, so the
+// summary precheck counters stay 0; under Bloom signatures every
+// running pair goes through the precheck.
+TEST(CommitFastPath, SummaryCountersOnlyUnderSignatures)
 {
-    const Recording without = recordSmall("radix", false, false);
-    EXPECT_EQ(without.stats.sigSummaryRejects, 0u);
-    EXPECT_EQ(without.stats.sigSummaryHits, 0u);
-    EXPECT_EQ(without.stats.unionSweepSkips, 0u);
-    EXPECT_GT(without.stats.conflictSweeps, 0u);
+    const Recording exact = recordSmall("radix", true);
+    EXPECT_EQ(exact.stats.sigSummaryRejects, 0u);
+    EXPECT_EQ(exact.stats.sigSummaryHits, 0u);
+    EXPECT_GT(exact.stats.conflictSweeps, 0u);
 
-    const Recording with = recordSmall("radix", false, true);
-    EXPECT_GT(with.stats.sigSummaryRejects + with.stats.sigSummaryHits,
-              0u);
+    const Recording bloom = recordSmall("radix", false);
+    EXPECT_GT(bloom.stats.sigSummaryHits, 0u);
+    EXPECT_GT(bloom.stats.conflictSweeps, 0u);
 }
 
 // WordMap's epoch clear must make the map indistinguishable from a

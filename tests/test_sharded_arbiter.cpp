@@ -4,9 +4,10 @@
  * shard masks), the PartialOrderCursor's enablement semantics,
  * fingerprint byte-identity between total-order and partial-order
  * replay across shard counts / worker counts / modes, exact
- * degeneration at shards=1, v1 load compatibility, typed ConfigError
- * rejection of invalid shard counts, archive round trips of masked
- * recordings, and the fault-injection sweep over the mask section.
+ * degeneration at shards=1, typed rejection of v1 streams, typed
+ * ConfigError rejection of invalid shard counts, archive round trips
+ * of masked recordings, and the fault-injection sweep over the mask
+ * section.
  */
 
 #include <gtest/gtest.h>
@@ -277,60 +278,27 @@ TEST(ShardedArbiter, PartialOrderReplayScalesToManyCores)
 }
 
 // ---------------------------------------------------------------------
-// v1 backward compatibility
+// Format version
 // ---------------------------------------------------------------------
 
-/**
- * Transform a maskless v2 stream into the v1 wire format: version 1,
- * the 11-field machine header (numArbiters dropped), and no PI
- * has-masks flag. Offsets follow the serialized layout exactly —
- * see saveRecording().
- */
-std::string
-downgradeToV1(const std::string &v2)
-{
-    const auto u64At = [&v2](std::size_t off) {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(v2[off + i]))
-                 << (8 * i);
-        return v;
-    };
-    std::string v1 = v2;
-    // Version field.
-    v1[8] = 1;
-    // Drop the machine header's 12th u64 (numArbiters) at offset 104.
-    v1.erase(104, 8);
-    // Drop the PI has-masks flag. In the *v1* stream: 20 u64s of
-    // header, then appName, seed, iterations, PI count, PI entries.
-    const std::uint64_t name_len = u64At(21 * 8);
-    const std::size_t pi_count_off =
-        20 * 8 + 8 + static_cast<std::size_t>(name_len) + 16;
-    const std::uint64_t pi_count = u64At(pi_count_off + 8);
-    v1.erase(pi_count_off + 8
-                 + static_cast<std::size_t>(pi_count) * 8,
-             8);
-    return v1;
-}
-
-TEST(ShardedArbiter, LegacyV1RecordingsStillLoadAndReplay)
+// Only format v2 loads. A v1 stream (total-order, pre-sharding) is
+// rejected by its version word before any section is parsed.
+TEST(ShardedArbiter, Version1RecordingsRejected)
 {
     const Recording rec = recordOne(ModeConfig::orderOnly(), 4, 1);
-    ASSERT_FALSE(rec.pi.hasMasks());
-    const std::string v1 = downgradeToV1(serialized(rec));
-
-    std::istringstream in(v1);
-    const Recording loaded = loadRecording(in);
-    EXPECT_EQ(loaded.machine.bulk.numArbiters, 1u);
-    EXPECT_FALSE(loaded.pi.hasMasks());
-    EXPECT_EQ(loaded.pi.entryCount(), rec.pi.entryCount());
-
-    const ReplayCheckResult check = checkedReplay(loaded);
-    EXPECT_TRUE(check.ok) << check.report.describe();
-    // Re-serializing writes the current (v2) format, byte-identical
-    // to the original v2 image of the same recording.
-    EXPECT_EQ(serialized(loaded), serialized(rec));
+    std::string bytes = serialized(rec);
+    ASSERT_EQ(bytes[8], 2); // little-endian version word after magic
+    bytes[8] = 1;
+    std::istringstream in(bytes);
+    try {
+        loadRecording(in);
+        FAIL() << "a version-1 stream loaded";
+    } catch (const RecordingFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported recording version"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -347,6 +347,27 @@ TEST(Store, FileReadsIdenticalAcrossMmapAndIoThreads)
     std::remove(path.c_str());
 }
 
+// A missing .dla is a typed container error on both read paths, the
+// same kind RingArchiveReader::open raises for a missing ring.meta.
+TEST(Store, MissingArchiveFileIsTyped)
+{
+    const std::string path =
+        testing::TempDir() + "store_no_such_archive.dla";
+    std::remove(path.c_str());
+    for (const bool mmap_reads : {true, false}) {
+        try {
+            ArchiveReader::fromFile(path, ArchiveIoOptions{1, mmap_reads});
+            ADD_FAILURE() << "opened a missing archive, mmap="
+                          << mmap_reads;
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.section(), ArchiveSection::kFileHeader);
+            EXPECT_EQ(e.segment(), ArchiveError::kNoSegment);
+            EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Store, StreamingWriterByteIdenticalAllModes)
 {
     // Hook-fed emission (one checkpoint at a time from the record

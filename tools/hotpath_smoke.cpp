@@ -1,19 +1,19 @@
 /**
  * @file
- * CI smoke check for the commit fast path: records the same small
- * workloads with the summary filter enabled and disabled (via the
- * DELOREAN_NO_SUMMARY_FILTER escape hatch) and asserts the two
- * recordings serialize to byte-identical streams — the filter may
- * only change how fast the arbiter decides, never what it decides.
- * Also replays the filtered recording to confirm determinism. Wired
- * into ctest as `hotpath_smoke`.
+ * CI smoke check for the commit conflict check: records small radix,
+ * fft and lu workloads under exact line-set and BulkSC signature
+ * disambiguation, and asserts that
+ *  - recording the same workload twice serializes to byte-identical
+ *    streams,
+ *  - the recording replays deterministically, and
+ *  - the summary precheck counters move only under signatures (exact
+ *    disambiguation never consults them).
+ * Wired into ctest as `hotpath_smoke`.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/recorder.hpp"
 #include "core/serialize.hpp"
@@ -35,19 +35,19 @@ serialized(const Recording &rec)
 }
 
 Recording
-recordApp(const std::string &app, const MachineConfig &machine,
-          bool filter)
+recordApp(const std::string &app, const MachineConfig &machine)
 {
-    if (filter)
-        unsetenv("DELOREAN_NO_SUMMARY_FILTER");
-    else
-        setenv("DELOREAN_NO_SUMMARY_FILTER", "1", 1);
     const Workload workload(app, machine.numProcs, kSeed,
                             WorkloadScale{kScale});
-    Recording rec =
-        Recorder(ModeConfig::orderOnly(), machine).record(workload, 7);
-    unsetenv("DELOREAN_NO_SUMMARY_FILTER");
-    return rec;
+    return Recorder(ModeConfig::orderOnly(), machine).record(workload, 7);
+}
+
+bool
+fail(const std::string &app, bool exact, const char *what)
+{
+    std::fprintf(stderr, "hotpath_smoke: %s (exact=%d): %s\n", app.c_str(),
+                 exact, what);
+    return false;
 }
 
 bool
@@ -56,25 +56,21 @@ checkApp(const std::string &app, bool exact_disambiguation)
     MachineConfig machine;
     machine.bulk.exactDisambiguation = exact_disambiguation;
 
-    const Recording with = recordApp(app, machine, true);
-    const Recording without = recordApp(app, machine, false);
+    const Recording rec = recordApp(app, machine);
+    if (serialized(rec) != serialized(recordApp(app, machine)))
+        return fail(app, exact_disambiguation,
+                    "two recordings of the same run differ");
 
-    if (serialized(with) != serialized(without)) {
-        std::fprintf(stderr,
-                     "hotpath_smoke: %s (exact=%d): filter on/off "
-                     "recordings differ\n",
-                     app.c_str(), exact_disambiguation);
-        return false;
-    }
+    const std::uint64_t tests =
+        rec.stats.sigSummaryHits + rec.stats.sigSummaryRejects;
+    if (exact_disambiguation ? tests != 0 : tests == 0)
+        return fail(app, exact_disambiguation,
+                    "summary precheck counters disagree with the "
+                    "disambiguation mode");
 
-    const ReplayOutcome out = Replayer().replay(with, /*env_seed=*/99);
-    if (!out.deterministicExact) {
-        std::fprintf(stderr,
-                     "hotpath_smoke: %s (exact=%d): replay not "
-                     "deterministic\n",
-                     app.c_str(), exact_disambiguation);
-        return false;
-    }
+    const ReplayOutcome out = Replayer().replay(rec, /*env_seed=*/99);
+    if (!out.deterministicExact)
+        return fail(app, exact_disambiguation, "replay not deterministic");
     return true;
 }
 
@@ -90,7 +86,7 @@ main()
     }
     if (!ok)
         return 1;
-    std::printf("hotpath_smoke: filter on/off recordings "
-                "byte-identical, replays deterministic\n");
+    std::printf("hotpath_smoke: recordings repeat byte-identical, replays "
+                "deterministic\n");
     return 0;
 }
