@@ -126,6 +126,7 @@ main()
                 container.size(), probe.segments().size());
 
     JsonLedger ledger("archive_io");
+    ledger.host();
     ledger.open("config");
     ledger.field("app", "ocean");
     ledger.field("procs", machine.numProcs);

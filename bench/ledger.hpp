@@ -20,7 +20,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -119,6 +121,30 @@ class JsonLedger
             std::snprintf(buf, sizeof buf, "%" PRIu64,
                           static_cast<std::uint64_t>(value));
         rawField(key, buf);
+    }
+
+    /**
+     * A "host" object naming the machine the figures were measured
+     * on: CPU model (from /proc/cpuinfo where present) and hardware
+     * thread count.
+     */
+    void
+    host()
+    {
+        std::string model = "unknown";
+        std::ifstream cpuinfo("/proc/cpuinfo");
+        for (std::string line; std::getline(cpuinfo, line);) {
+            if (line.rfind("model name", 0) == 0) {
+                const std::size_t colon = line.find(':');
+                if (colon != std::string::npos)
+                    model = line.substr(line.find_first_not_of(' ', colon + 1));
+                break;
+            }
+        }
+        open("host");
+        field("cpuModel", model);
+        field("hardwareThreads", std::thread::hardware_concurrency());
+        close();
     }
 
     /** Emit @p json_value verbatim (caller guarantees valid JSON). */

@@ -225,6 +225,7 @@ main()
 
     // ---- BENCH_logsize.json -----------------------------------------
     JsonLedger ledger("log_size");
+    ledger.host();
     ledger.field("scalePercent", scale);
     ledger.field("checkpointPeriod", kCheckpointPeriod);
     ledger.field("numProcs", machine.numProcs);

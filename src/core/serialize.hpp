@@ -55,7 +55,7 @@ void validateRecording(const Recording &rec);
  * Field-range checks for just the machine/mode headers — the subset
  * of validateRecording() that must run before a loader allocates
  * anything sized by header fields. Exposed for the archive reader
- * (src/store), whose footer carries the same headers.
+ * (src/store), whose meta record carries the same headers.
  */
 void validateRecordingConfigs(const MachineConfig &machine,
                               const ModeConfig &mode);

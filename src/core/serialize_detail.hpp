@@ -14,6 +14,7 @@
 #define DELOREAN_CORE_SERIALIZE_DETAIL_HPP_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -78,11 +79,55 @@ static_assert(std::is_trivially_copyable_v<ThreadContext>,
               "ThreadContext must stay trivially copyable: checkpoints "
               "serialize it by value");
 
+static_assert(std::is_standard_layout_v<ThreadContext>
+                  && std::is_standard_layout_v<Instr>,
+              "putContext addresses ThreadContext fields by offsetof");
+
+/**
+ * The context image: every field at its in-memory offset, padding
+ * zero. Copying the whole struct would store whatever its padding
+ * bytes happen to hold, so equal contexts could serialize unequally.
+ */
 inline void
 putContext(std::ostream &out, const ThreadContext &ctx)
 {
-    char buf[sizeof(ThreadContext)];
-    std::memcpy(buf, &ctx, sizeof(ThreadContext));
+    char buf[sizeof(ThreadContext)] = {};
+    const auto field = [&buf](std::size_t offset, const auto &value) {
+        std::memcpy(buf + offset, &value, sizeof value);
+    };
+    using C = ThreadContext;
+    field(offsetof(C, proc), ctx.proc);
+    field(offsetof(C, rng), ctx.rng);
+    field(offsetof(C, acc), ctx.acc);
+    field(offsetof(C, retired), ctx.retired);
+    field(offsetof(C, state), ctx.state);
+    field(offsetof(C, iter), ctx.iter);
+    field(offsetof(C, workRemaining), ctx.workRemaining);
+    field(offsetof(C, subRemaining), ctx.subRemaining);
+    field(offsetof(C, lockId), ctx.lockId);
+    field(offsetof(C, barrierGenSeen), ctx.barrierGenSeen);
+    field(offsetof(C, ioRemaining), ctx.ioRemaining);
+    field(offsetof(C, pendingBarrier), ctx.pendingBarrier);
+    field(offsetof(C, pendingLock), ctx.pendingLock);
+    field(offsetof(C, pendingSyscall), ctx.pendingSyscall);
+    field(offsetof(C, pendingIo), ctx.pendingIo);
+    field(offsetof(C, privCursor), ctx.privCursor);
+    field(offsetof(C, sharedCursor), ctx.sharedCursor);
+    field(offsetof(C, privStoreBase), ctx.privStoreBase);
+    field(offsetof(C, sharedStoreBase), ctx.sharedStoreBase);
+    field(offsetof(C, workPhase), ctx.workPhase);
+    field(offsetof(C, workPhaseLeft), ctx.workPhaseLeft);
+    field(offsetof(C, trapRemaining), ctx.trapRemaining);
+    field(offsetof(C, hasPendingAccess), ctx.hasPendingAccess);
+    const std::size_t access = offsetof(C, pendingAccess);
+    field(access + offsetof(Instr, op), ctx.pendingAccess.op);
+    field(access + offsetof(Instr, addr), ctx.pendingAccess.addr);
+    field(access + offsetof(Instr, value), ctx.pendingAccess.value);
+    field(offsetof(C, handlerRemaining), ctx.handlerRemaining);
+    field(offsetof(C, ioLoadCount), ctx.ioLoadCount);
+    field(offsetof(C, done), ctx.done);
+    field(offsetof(C, raceRemaining), ctx.raceRemaining);
+    field(offsetof(C, mappedSegs), ctx.mappedSegs);
     out.write(buf, sizeof(ThreadContext));
 }
 

@@ -5,29 +5,34 @@
  *
  * A .dlr recording serializes every log as one monolithic stream —
  * replaying the interval I(n, m) still pays for loading and parsing
- * the whole thing. The archive (.dla) cuts the recording into
- * *segments* at system-checkpoint GCC boundaries:
+ * the whole thing. The archive cuts the recording into *segments* at
+ * system-checkpoint GCC boundaries. Segment i holds the log slices
+ * covering the GCC interval (ckpt[i-1].gcc, ckpt[i].gcc]; a final
+ * tail segment covers from the last checkpoint to the end of the run.
  *
- *   file  := header  segment*  footer  trailer
- *   header:= magic "DeLoArcv" (u64)  version (u64)
- *   segment := segMagic "DeLoSeg." (u64)  index (u64)
- *              rawBytes (u64)  compBytes (u64)  crc32 (u64)
- *              payload [compBytes]           -- LZ77-compressed
- *   footer := LZ77-compressed metadata + per-segment index
- *             (endGcc, file offset, sizes, CRC, per-proc log bit
- *             positions, and the boundary SystemCheckpoint)
- *   trailer:= footerOffset (u64)  footerCompBytes (u64)
- *             footerRawBytes (u64)  footerCrc32 (u64)
- *             endMagic "DeLoArcZ" (u64)
+ * There is one on-disk unit: the self-describing *segment record* the
+ * ring (store/ring) stores as one `seg-<id>` file — a 48-byte
+ * preamble, an LZ77 header blob naming the GCC interval and the sizes
+ * and CRCs of what follows, the CRC'd start- and end-checkpoint
+ * images, then the compressed payload. A `.dla` (version 3) is one
+ * file of those records:
  *
- * Segment i holds the log slices covering the GCC interval
- * (ckpt[i-1].gcc, ckpt[i].gcc]; a final tail segment covers from the
- * last checkpoint to the end of the run. Every payload carries the
- * CRC-32 of its compressed bytes, so corruption is *detected* — a
- * typed ArchiveError naming the section and segment — never a crash
- * or a silent divergence. The reader seeks to a checkpoint in O(1)
- * via the footer index and decodes only the segments covering the
- * requested interval.
+ *   file    := header  meta  segment*  index  trailer
+ *   header  := magic "DeLoArcv" (u64)  version (u64)
+ *   meta    := the ring.meta record (run identity; zero ring knobs)
+ *   segment := a segment record, in cut order from segment 0
+ *   index   := a clean ring.index record (every segment's id and
+ *              record size, then the run's final stats)
+ *   trailer := indexOffset (u64)  endMagic "DeLoArcZ" (u64)
+ *
+ * A `.dla` is contiguous from segment 0, so its records omit the
+ * start-checkpoint image: segment i starts where segment i-1's end
+ * checkpoint left off. Every blob carries a CRC-32, so corruption is
+ * *detected* — a typed ArchiveError naming the section and segment —
+ * never a crash or a silent divergence. Opening parses every record
+ * header and checkpoint; payloads are CRC-checked and decoded only
+ * when a read needs them, and a read decodes only the segments
+ * covering the requested interval.
  */
 
 #ifndef DELOREAN_STORE_ARCHIVE_HPP_
@@ -84,8 +89,11 @@ unsigned defaultArchiveIoThreads();
 /** Structural region of an archive file an error can point at. */
 enum class ArchiveSection
 {
+    /// The file header and meta record (ring.meta for a ring).
     kFileHeader,
     kSegment,
+    /// The index record (ring.index for a ring) and what only a
+    /// clean close provides: the final stats.
     kFooter,
     kTrailer,
     /// Not a byte region: an interval request named a checkpoint the
@@ -145,26 +153,26 @@ class CheckpointOutOfRangeError : public ArchiveError
     std::size_t available_;
 };
 
-/** Footer index entry: everything known about one segment. */
-struct ArchiveSegmentInfo
+/**
+ * One stored segment record, as either reader found it. The
+ * checkpoint images themselves live in the reader, one per boundary.
+ */
+struct SegmentInfo
 {
-    /// GCC at the end of this segment's interval (== the boundary
-    /// checkpoint's GCC, or the recording's final GCC for the tail).
+    std::uint64_t segId = 0;    ///< cut order; 0 starts the run
+    std::uint64_t startGcc = 0; ///< the interval is (startGcc, endGcc]
     std::uint64_t endGcc = 0;
-    std::uint64_t fileOffset = 0; ///< of the segment header
-    std::uint64_t rawBytes = 0;   ///< decompressed payload size
-    std::uint64_t compBytes = 0;  ///< stored payload size
-    std::uint64_t crc32 = 0;      ///< CRC-32 of the compressed payload
-
-    /// Cumulative bit positions in the raw bit-packed memory-ordering
-    /// logs at this segment's end — where a hardware recorder's log
-    /// write pointers stood at the checkpoint.
-    std::uint64_t piBitsEnd = 0;
-    std::uint64_t strataBitsEnd = 0;
-    std::vector<std::uint64_t> csBitsEnd; ///< one per processor
-
-    bool hasCheckpoint = false;   ///< false only for the tail segment
-    SystemCheckpoint checkpoint;  ///< boundary state (if hasCheckpoint)
+    std::uint64_t rawBytes = 0;  ///< decompressed payload size
+    std::uint64_t compBytes = 0; ///< stored payload size
+    std::uint64_t crc32 = 0;     ///< CRC-32 of the stored payload
+    /// Where the record starts in its file (0 for a ring segment
+    /// file), its whole size, and where its stored payload starts.
+    std::uint64_t recordOffset = 0;
+    std::uint64_t recordBytes = 0;
+    std::uint64_t payloadOffset = 0;
+    bool isTail = false;             ///< final segment of a clean close
+    bool hasStartCheckpoint = false; ///< record stores its start image
+    bool hasEndCheckpoint = false;   ///< false only for the tail
 };
 
 /**
@@ -195,8 +203,9 @@ class ArchiveWriteError : public DeloreanError
  * double-buffered: while one batch compresses and writes, the next
  * accumulates, and the recording thread never blocks on the codec.
  * close() streams any remaining checkpoints, cuts the tail segment,
- * drains the flusher, and writes the footer index and trailer. The
- * ring (store/ring) runs the same segment pipeline into a directory.
+ * drains the flusher, and writes the index record and trailer. The
+ * ring (store/ring) runs the same segment pipeline and writes the
+ * same segment records, one file each.
  *
  * The container bytes do not depend on ioThreads or on the feed path.
  * Checkpoints must arrive in ascending GCC order (the recorder emits
@@ -227,7 +236,7 @@ class StreamingArchiveWriter
     /**
      * Finish the archive: stream any remaining checkpoints, cut the
      * tail segment, drain all pending codec/write work, emit the
-     * footer index and trailer, and flush the stream. Call once, with
+     * index record and trailer, and flush the stream. Call once, with
      * the finished recording.
      */
     void close(const Recording &rec);
@@ -258,7 +267,7 @@ void writeArchiveFile(const Recording &rec, const std::string &path,
 namespace archive_detail
 {
 
-/** Run identity both containers store (.dla footer, ring.meta). */
+/** Run identity both containers store in their meta record. */
 struct RunInfo
 {
     MachineConfig machine;
@@ -270,7 +279,7 @@ struct RunInfo
 
 /**
  * End-of-run values a whole-recording read restores: engine stats
- * and the final fingerprint (.dla footer, clean ring.index).
+ * and the final fingerprint (a clean index record).
  */
 struct FinalStats
 {
@@ -280,15 +289,127 @@ struct FinalStats
     std::uint64_t finalMemHash = 0;
 };
 
+struct ParsedSegment;
+
 } // namespace archive_detail
 
 /**
- * Random-access archive reader. Construction parses and integrity-
- * checks the header, footer and trailer (O(#segments), not O(bytes));
- * segment payloads are CRC-checked and decoded only when a read needs
- * them. All failures surface as ArchiveError.
+ * What both container readers share: a contiguous run of parsed
+ * segment records, one checkpoint per boundary between them, and the
+ * seek, interval and whole-recording reads over that run. The
+ * readers differ only in where the records come from (ArchiveReader:
+ * one .dla; RingArchiveReader: a ring directory) and in when a run
+ * counts as cleanly closed. Readers are not internally synchronized —
+ * use one reader per thread.
  */
-class ArchiveReader
+class SegmentArchiveReader
+{
+  public:
+    static constexpr std::size_t kToEnd = static_cast<std::size_t>(-1);
+
+    const MachineConfig &machine() const { return run_.machine; }
+    const ModeConfig &mode() const { return run_.mode; }
+    const std::string &appName() const { return run_.app; }
+    std::uint64_t workloadSeed() const { return run_.seed; }
+    unsigned iterationsPercent() const { return run_.iterations; }
+
+    /** The run's segments, ascending segId (contiguous). */
+    const std::vector<SegmentInfo> &segments() const
+    {
+        return segments_;
+    }
+
+    /** Decodable replay starting points, ascending GCC. */
+    std::size_t checkpointCount() const { return checkpoints_.size(); }
+    std::vector<std::uint64_t> checkpointGccs() const;
+    const SystemCheckpoint &checkpointAt(std::size_t index) const;
+
+    /**
+     * Index of the newest checkpoint with GCC <= @p cycle — the
+     * time-travel seek. @throws CheckpointOutOfRangeError when
+     * @p cycle predates every checkpoint held.
+     */
+    std::size_t newestCheckpointAtOrBefore(std::uint64_t cycle) const;
+
+    /**
+     * Reassemble the complete Recording. Byte-identical to the
+     * recorded one: saveRecording(readAll()) equals saveRecording()
+     * of the original. Decodes (and CRC-checks) every segment.
+     * Requires a clean close and segment 0 (nothing evicted).
+     */
+    Recording readAll() const;
+
+    /**
+     * Interval view for replaying I(ckpt[from].gcc, end) — or, when
+     * @p to != kToEnd, the bounded I(ckpt[from].gcc, ckpt[to].gcc).
+     * Only the segments covering the interval are decoded; the log
+     * prefix before the start checkpoint is replaced by synthetic
+     * filler the replay skip logic consumes without ever touching
+     * real data. The returned Recording carries the start checkpoint
+     * at checkpoints[0] (hand it to Replayer::replayInterval with
+     * checkpoint_index 0) and, when bounded, the stop checkpoint at
+     * checkpoints[1] (pass &rec.checkpoints[1] as the stop). An
+     * unbounded view needs a clean close (the final stats).
+     */
+    Recording readInterval(std::size_t from,
+                           std::size_t to = kToEnd) const;
+
+  protected:
+    SegmentArchiveReader();
+    // Out of line: the codec pool and the parsed-record type are only
+    // forward-declared here.
+    SegmentArchiveReader(SegmentArchiveReader &&) noexcept;
+    SegmentArchiveReader &operator=(SegmentArchiveReader &&) noexcept;
+    virtual ~SegmentArchiveReader();
+
+    /**
+     * Stored bytes [offset, offset + bytes) of segment @p pos's file:
+     * a view into memory, or read into @p scratch. An ArchiveError
+     * when they cannot be read.
+     */
+    virtual const std::uint8_t *fetch(std::size_t pos,
+                                      std::uint64_t offset,
+                                      std::uint64_t bytes,
+                                      std::vector<std::uint8_t> &scratch)
+        const = 0;
+
+    /**
+     * Take over a contiguous, chain-checked run of records. Boundary
+     * 0's checkpoint is @p first_start (segment 0 has none); every
+     * later boundary's is its left segment's end checkpoint. @p closed
+     * holds the final stats of a clean close, nullptr otherwise.
+     */
+    void adopt(std::vector<archive_detail::ParsedSegment> &&records,
+               const SystemCheckpoint *first_start,
+               const archive_detail::FinalStats *closed);
+
+    ArchiveIoOptions io_;
+    archive_detail::RunInfo run_;
+
+  private:
+    std::vector<std::uint8_t> payload(std::size_t pos) const;
+    WorkerPool &ioPool() const;
+
+    std::vector<SegmentInfo> segments_;
+    /// One per boundary that has one, ascending; ckpt_boundary_[i] is
+    /// checkpoints_[i]'s boundary (0..segments_.size()).
+    std::vector<SystemCheckpoint> checkpoints_;
+    std::vector<std::size_t> ckpt_boundary_;
+    archive_detail::FinalStats final_; ///< zeros unless clean_
+    bool clean_ = false;
+    /// Lazily constructed; reused across reads on one reader.
+    mutable std::unique_ptr<WorkerPool> pool_;
+};
+
+/**
+ * Random-access `.dla` reader. Opening parses and integrity-checks
+ * the header, meta record, every segment record's header and
+ * checkpoint images, the index record and the trailer; payloads are
+ * CRC-checked and decoded only when a read needs them. The index
+ * must be clean and agree with the records exactly: anything torn,
+ * unclean or inconsistent is an ArchiveError.
+ */
+class ArchiveReader : public SegmentArchiveReader
 {
   public:
     static ArchiveReader fromBytes(std::vector<std::uint8_t> bytes,
@@ -303,12 +424,6 @@ class ArchiveReader
     static ArchiveReader fromFile(const std::string &path,
                                   const ArchiveIoOptions &io = {});
 
-    // Out of line: the codec pool member is only forward-declared
-    // here, so the special members must live where it is complete.
-    ArchiveReader(ArchiveReader &&) noexcept;
-    ArchiveReader &operator=(ArchiveReader &&) noexcept;
-    ~ArchiveReader();
-
     /** True when this reader decodes straight out of an mmap. */
     bool usingMmap() const { return map_.mapped(); }
 
@@ -319,56 +434,14 @@ class ArchiveReader
     /** Convenience: magic sniff on a file's first 8 bytes. */
     static bool fileLooksLikeArchive(const std::string &path);
 
-    const std::vector<ArchiveSegmentInfo> &segments() const
-    {
-        return segments_;
-    }
-
-    /** Number of seekable checkpoints (segments minus the tail). */
-    std::size_t checkpointCount() const;
-
-    /** GCCs of the seekable checkpoints, ascending. */
-    std::vector<std::uint64_t> checkpointGccs() const;
-
-    /** Boundary checkpoint @p index (0-based, ascending GCC). */
-    const SystemCheckpoint &checkpointAt(std::size_t index) const;
-
-    const MachineConfig &machine() const { return run_.machine; }
-    const ModeConfig &mode() const { return run_.mode; }
-    const std::string &appName() const { return run_.app; }
-    std::uint64_t workloadSeed() const { return run_.seed; }
-    unsigned iterationsPercent() const { return run_.iterations; }
-
-    /**
-     * Reassemble the complete Recording. Byte-identical to the
-     * archived one: saveRecording(readAll()) equals saveRecording()
-     * of the original. Decodes (and CRC-checks) every segment.
-     */
-    Recording readAll() const;
-
-    /**
-     * Interval view for replaying I(ckpt[from].gcc, end) — or, when
-     * @p to != kToEnd, the bounded I(ckpt[from].gcc, ckpt[to].gcc).
-     * Only the segments covering the interval are decoded; the log
-     * prefix before the start checkpoint is replaced by synthetic
-     * filler the replay skip logic consumes without ever touching
-     * real data. The returned Recording carries the start checkpoint
-     * at checkpoints[0] (hand it to Replayer::replayInterval with
-     * checkpoint_index 0) and, when bounded, the stop checkpoint at
-     * checkpoints[1] (pass &rec.checkpoints[1] as the stop).
-     */
-    static constexpr std::size_t kToEnd = static_cast<std::size_t>(-1);
-    Recording readInterval(std::size_t from,
-                           std::size_t to = kToEnd) const;
-
   private:
     ArchiveReader() = default;
 
     void parse();
-    /// Header-check + inflate one segment payload; returns raw bytes.
-    std::vector<std::uint8_t> segmentPayload(std::size_t index) const;
-    /// The pool backing parallel segment decode (lazily built).
-    WorkerPool &ioPool() const;
+    const std::uint8_t *fetch(std::size_t pos, std::uint64_t offset,
+                              std::uint64_t bytes,
+                              std::vector<std::uint8_t> &scratch)
+        const override;
 
     /// Container bytes: owned_ (fromBytes / buffered fromFile) or
     /// map_ (zero-copy fromFile); data_/size_ view whichever is live.
@@ -376,15 +449,6 @@ class ArchiveReader
     MappedFile map_;
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
-    ArchiveIoOptions io_;
-    /// Lazily constructed; reused across readAll/readInterval calls
-    /// on one reader. Readers are not internally synchronized — use
-    /// one reader per thread, like any const-method-only class with
-    /// lazy state.
-    mutable std::unique_ptr<WorkerPool> pool_;
-    archive_detail::RunInfo run_;
-    archive_detail::FinalStats final_;
-    std::vector<ArchiveSegmentInfo> segments_;
 };
 
 } // namespace delorean

@@ -17,10 +17,12 @@ namespace delorean
 namespace archive_detail
 {
 
+using serialize_detail::getCheckpoint;
 using serialize_detail::getMachine;
 using serialize_detail::getMode;
 using serialize_detail::getString;
 using serialize_detail::getU64;
+using serialize_detail::putCheckpoint;
 using serialize_detail::putMachine;
 using serialize_detail::putMode;
 using serialize_detail::putString;
@@ -344,7 +346,27 @@ readWholeFile(const std::string &path, std::vector<std::uint8_t> &bytes)
     return static_cast<bool>(in) || in.eof();
 }
 
-// ----- shared metadata ------------------------------------------------------
+// ----- meta and index records ----------------------------------------------
+
+namespace
+{
+
+/// Segment record preamble magic.
+constexpr std::uint64_t kSegMagic = 0x676553526F4C6544ull; // "DeLoRSeg"
+/// Version word of every record preamble.
+constexpr std::uint64_t kRecordVersion = 1;
+/// Segment preamble: magic, version, segId, header raw size, header
+/// compressed size, header CRC-32 (of the compressed bytes). The
+/// header blob is followed by the start- and end-checkpoint blobs it
+/// describes (each independently LZ77-compressed and CRC'd), then the
+/// payload. Keeping the checkpoint images out of the header lets the
+/// writer compress each checkpoint exactly once: the blob that closes
+/// segment i is byte-reused as the start blob of segment i+1.
+constexpr std::size_t kSegPreambleBytes = 48;
+/// Header/meta/index blob size cap: fences OOM on garbage files.
+constexpr std::uint64_t kMaxBlobBytes = 1ull << 30;
+/// Sanity fence on index entry counts.
+constexpr std::uint64_t kMaxIndexEntries = 1ull << 20;
 
 void
 putRunInfo(std::ostream &out, const Recording &rec)
@@ -406,6 +428,124 @@ getFinalStats(std::istream &in, unsigned num_procs)
     return fin;
 }
 
+void
+putBytes(std::ostream &out, const std::vector<std::uint8_t> &bytes)
+{
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * Check the meta/index record spanning exactly @p bytes[0, size)
+ * (magic, version, blob size, CRC) and point @p in at its blob; a
+ * RecordingFormatError says why it is unusable.
+ */
+void
+openBlobRecord(const std::uint8_t *bytes, std::size_t size,
+               std::uint64_t magic, std::istringstream &in)
+{
+    if (size < kBlobPreambleBytes || readU64At(bytes, 0) != magic)
+        throw RecordingFormatError(
+            "magic missing (not a DeLorean ring archive?)");
+    if (readU64At(bytes, 8) != kRecordVersion)
+        throw RecordingFormatError("unsupported ring version "
+                                   + std::to_string(readU64At(bytes, 8)));
+    const std::uint64_t blob = readU64At(bytes, 24);
+    if (blob > kMaxBlobBytes || kBlobPreambleBytes + blob != size)
+        throw RecordingFormatError("truncated");
+    if (crc32(bytes + kBlobPreambleBytes, static_cast<std::size_t>(blob))
+        != readU64At(bytes, 32))
+        throw RecordingFormatError("CRC mismatch");
+    in.str(std::string(reinterpret_cast<const char *>(bytes)
+                           + kBlobPreambleBytes,
+                       static_cast<std::size_t>(blob)));
+}
+
+} // namespace
+
+void
+putBlobRecord(std::ostream &out, std::uint64_t magic,
+              const std::string &blob)
+{
+    putU64(out, magic);
+    putU64(out, kRecordVersion);
+    putU64(out, 0); // reserved
+    putU64(out, blob.size());
+    putU64(out,
+           crc32(reinterpret_cast<const std::uint8_t *>(blob.data()),
+                 blob.size()));
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+}
+
+std::string
+metaBlob(const Recording &rec, std::uint64_t budget_bytes,
+         std::uint64_t checkpoint_period, std::uint64_t max_replay_lag)
+{
+    std::ostringstream blob(std::ios::binary);
+    putRunInfo(blob, rec);
+    putU64(blob, budget_bytes);
+    putU64(blob, checkpoint_period);
+    putU64(blob, max_replay_lag);
+    return std::move(blob).str();
+}
+
+Meta
+openMetaRecord(const std::uint8_t *bytes, std::size_t size,
+               const std::string &what)
+{
+    try {
+        std::istringstream in(std::ios::binary);
+        openBlobRecord(bytes, size, kMetaMagic, in);
+        Meta meta;
+        meta.run = getRunInfo(in);
+        meta.budgetBytes = getU64(in);
+        meta.checkpointPeriod = getU64(in);
+        meta.maxReplayLag = getU64(in);
+        return meta;
+    } catch (const RecordingFormatError &e) {
+        throw ArchiveError(ArchiveSection::kFileHeader,
+                           ArchiveError::kNoSegment,
+                           what + " " + e.what());
+    }
+}
+
+std::string
+indexBlob(const std::vector<RecordRef> &live, const Recording *closed)
+{
+    std::ostringstream blob(std::ios::binary);
+    putU64(blob, closed ? 1 : 0);
+    putU64(blob, live.size());
+    for (const RecordRef &ref : live) {
+        putU64(blob, ref.segId);
+        putU64(blob, ref.bytes);
+    }
+    if (closed)
+        putFinalStats(blob, *closed);
+    return std::move(blob).str();
+}
+
+IndexInfo
+openIndexRecord(const std::uint8_t *bytes, std::size_t size,
+                unsigned num_procs)
+{
+    std::istringstream in(std::ios::binary);
+    openBlobRecord(bytes, size, kIndexMagic, in);
+    IndexInfo index;
+    index.clean = getU64(in) != 0;
+    const std::uint64_t count = getU64(in);
+    if (count > kMaxIndexEntries)
+        throw RecordingFormatError("implausible index segment count");
+    for (std::uint64_t i = 0; i < count; ++i) {
+        RecordRef ref;
+        ref.segId = getU64(in);
+        ref.bytes = getU64(in);
+        index.live.push_back(ref);
+    }
+    if (index.clean)
+        index.fin = getFinalStats(in, num_procs);
+    return index;
+}
+
 // ----- writer side ----------------------------------------------------------
 
 void
@@ -432,6 +572,48 @@ encodeBlob(const std::string &raw)
     blob.comp = stream.finish();
     blob.crc = crc32(blob.comp.data(), blob.comp.size());
     return blob;
+}
+
+std::uint64_t
+putSegmentRecord(std::ostream &out, const StagedSegment &seg,
+                 const EncodedBlob *start)
+{
+    const bool has_end = seg.checkpoint.has_value();
+    // Self-describing header: the GCC interval plus the sizes and
+    // CRCs of the blobs that follow it in the record.
+    std::ostringstream hb(std::ios::binary);
+    putU64(hb, seg.startGcc);
+    putU64(hb, seg.endGcc);
+    putU64(hb, has_end ? 0 : 1); // tail flag
+    const auto put_blob_ref = [&hb](const EncodedBlob *blob) {
+        putU64(hb, blob ? 1 : 0);
+        if (blob) {
+            putU64(hb, blob->rawBytes);
+            putU64(hb, blob->comp.size());
+            putU64(hb, blob->crc);
+        }
+    };
+    put_blob_ref(start);
+    put_blob_ref(has_end ? &seg.end : nullptr);
+    putU64(hb, seg.payload.rawBytes);
+    putU64(hb, seg.payload.comp.size());
+    putU64(hb, seg.payload.crc);
+    const EncodedBlob header = encodeBlob(std::move(hb).str());
+
+    putU64(out, kSegMagic);
+    putU64(out, kRecordVersion);
+    putU64(out, seg.index);
+    putU64(out, header.rawBytes);
+    putU64(out, header.comp.size());
+    putU64(out, header.crc);
+    putBytes(out, header.comp);
+    if (start)
+        putBytes(out, start->comp);
+    putBytes(out, seg.end.comp);
+    putBytes(out, seg.payload.comp);
+    return kSegPreambleBytes + header.comp.size()
+           + (start ? start->comp.size() : 0) + seg.end.comp.size()
+           + seg.payload.comp.size();
 }
 
 SegmentPipeline::SegmentPipeline(SegmentSink &sink,
@@ -475,7 +657,12 @@ SegmentPipeline::feed(const Recording &rec)
     if (!initialized_) {
         last_.committed.assign(rec.machine.numProcs, 0);
         last_.ioIdx.assign(rec.machine.numProcs, 0);
-        sink_.begin(rec);
+        try {
+            sink_.begin(rec);
+        } catch (...) {
+            closed_ = true; // poisoned: the sink is half set up
+            throw;
+        }
         initialized_ = true;
     }
     while (fed_ < rec.checkpoints.size()) {
@@ -496,14 +683,10 @@ SegmentPipeline::stage(const Recording &rec, Boundary hi,
     StagedSegment seg;
     seg.index = staged_;
     seg.startGcc = last_.gcc;
+    seg.endGcc = hi.gcc;
     seg.raw = buildSegmentPayload(rec, last_, hi);
-    seg.info.endGcc = hi.gcc;
-    seg.info.rawBytes = seg.raw.size();
-    if (ckpt) {
-        seg.info.hasCheckpoint = true;
-        seg.info.checkpoint = *ckpt;
-    }
-    sink_.annotate(rec, last_, hi, seg);
+    if (ckpt)
+        seg.checkpoint = *ckpt;
     staging_.push_back(std::move(seg));
     last_ = std::move(hi);
     ++staged_;
@@ -532,17 +715,18 @@ SegmentPipeline::flushBatch()
             seg.payload = encodeBlob(seg.raw);
             std::string().swap(seg.raw);
         });
-        tasks.push_back([this, &seg] { sink_.encodeExtra(seg); });
+        if (seg.checkpoint)
+            tasks.push_back([&seg] {
+                std::ostringstream image(std::ios::binary);
+                putCheckpoint(image, *seg.checkpoint);
+                seg.end = encodeBlob(std::move(image).str());
+            });
     }
     std::vector<std::exception_ptr> errors;
     runIndexed(*pool_, std::move(tasks), errors);
     for (const std::exception_ptr &e : errors)
         if (e)
             std::rethrow_exception(e);
-    for (StagedSegment &seg : flushing_) {
-        seg.info.compBytes = seg.payload.comp.size();
-        seg.info.crc32 = seg.payload.crc;
-    }
     sink_.commit(flushing_);
     flushing_.clear();
 }
@@ -607,6 +791,171 @@ inflate(const std::uint8_t *comp, std::uint64_t comp_bytes,
     return raw;
 }
 
+namespace
+{
+
+/**
+ * Run @p parse, turning a plain RecordingFormatError (a short or
+ * malformed blob) into ArchiveError(kSegment, @p label).
+ */
+template <typename Fn>
+auto
+inSegment(std::size_t label, Fn &&parse)
+{
+    try {
+        return parse();
+    } catch (const ArchiveError &) {
+        throw;
+    } catch (const RecordingFormatError &e) {
+        throw ArchiveError(ArchiveSection::kSegment, label, e.what());
+    }
+}
+
+/** Inflate a checkpoint image and check it fits its boundary. */
+SystemCheckpoint
+decodeCheckpoint(const std::uint8_t *comp, const BlobRef &blob,
+                 std::uint64_t gcc, unsigned num_procs,
+                 std::size_t label, const char *what)
+{
+    const std::vector<std::uint8_t> raw =
+        inflate(comp, blob.compBytes, blob.crc, blob.rawBytes,
+                ArchiveSection::kSegment, label, what);
+    std::istringstream in(
+        std::string(reinterpret_cast<const char *>(raw.data()),
+                    raw.size()),
+        std::ios::binary);
+    SystemCheckpoint ckpt = getCheckpoint(in);
+    if (ckpt.gcc != gcc || ckpt.contexts.size() != num_procs
+        || ckpt.committedChunks.size() != num_procs)
+        throw RecordingFormatError(std::string(what)
+                                   + " disagrees with the header");
+    return ckpt;
+}
+
+} // namespace
+
+ParsedSegment
+parseSegmentRecord(const std::uint8_t *bytes, std::size_t size,
+                   std::uint64_t file_offset, unsigned num_procs,
+                   std::size_t label)
+{
+    return inSegment(label, [&] {
+        if (size < kSegPreambleBytes)
+            throw RecordingFormatError("shorter than a segment preamble");
+        if (readU64At(bytes, 0) != kSegMagic)
+            throw RecordingFormatError("segment magic missing");
+        if (readU64At(bytes, 8) != kRecordVersion)
+            throw RecordingFormatError("unsupported segment version");
+        const std::uint64_t header_raw = readU64At(bytes, 24);
+        const std::uint64_t header_comp = readU64At(bytes, 32);
+        if (header_raw > kMaxBlobBytes || header_comp > kMaxBlobBytes
+            || kSegPreambleBytes + header_comp > size)
+            throw RecordingFormatError("torn header");
+
+        ParsedSegment seg;
+        SegmentInfo &info = seg.info;
+        info.segId = readU64At(bytes, 16);
+        info.recordOffset = file_offset;
+        info.recordBytes = size;
+        const std::vector<std::uint8_t> raw =
+            inflate(bytes + kSegPreambleBytes, header_comp,
+                    readU64At(bytes, 40), header_raw,
+                    ArchiveSection::kSegment, label, "header");
+        std::istringstream in(
+            std::string(reinterpret_cast<const char *>(raw.data()),
+                        raw.size()),
+            std::ios::binary);
+        info.startGcc = getU64(in);
+        info.endGcc = getU64(in);
+        info.isTail = getU64(in) != 0;
+        const auto get_blob_ref = [&in](BlobRef &blob) {
+            if (getU64(in) == 0)
+                return false;
+            blob.rawBytes = getU64(in);
+            blob.compBytes = getU64(in);
+            blob.crc = getU64(in);
+            return true;
+        };
+        info.hasStartCheckpoint = get_blob_ref(seg.start);
+        info.hasEndCheckpoint = get_blob_ref(seg.end);
+        info.rawBytes = getU64(in);
+        info.compBytes = getU64(in);
+        info.crc32 = getU64(in);
+
+        // Everything the header promises must fit the record exactly:
+        // header, start blob, end blob, payload, nothing else.
+        if (seg.start.rawBytes > kMaxBlobBytes
+            || seg.start.compBytes > size || seg.end.rawBytes > kMaxBlobBytes
+            || seg.end.compBytes > size || info.compBytes > size)
+            throw RecordingFormatError("implausible blob size");
+        std::uint64_t off = kSegPreambleBytes + header_comp;
+        if (off + seg.start.compBytes + seg.end.compBytes + info.compBytes
+            != size)
+            throw RecordingFormatError(
+                "record size disagrees with the header (torn payload?)");
+        if (info.endGcc < info.startGcc
+            || (!info.isTail && info.endGcc <= info.startGcc))
+            throw RecordingFormatError("GCC interval not ascending");
+        if (info.hasStartCheckpoint && info.segId == 0)
+            throw RecordingFormatError(
+                "segment 0 stores a start checkpoint");
+        if (info.hasEndCheckpoint == info.isTail)
+            throw RecordingFormatError(
+                "end-checkpoint presence disagrees with the tail flag");
+        seg.start.offset = file_offset + off;
+        if (info.hasStartCheckpoint
+            && crc32(bytes + off,
+                     static_cast<std::size_t>(seg.start.compBytes))
+                   != seg.start.crc)
+            throw RecordingFormatError("start checkpoint CRC mismatch");
+        off += seg.start.compBytes;
+        seg.end.offset = file_offset + off;
+        if (info.hasEndCheckpoint)
+            seg.endCheckpoint =
+                decodeCheckpoint(bytes + off, seg.end, info.endGcc,
+                                 num_procs, label, "end checkpoint");
+        info.payloadOffset = seg.end.offset + seg.end.compBytes;
+        return seg;
+    });
+}
+
+std::string
+chainBreak(const ParsedSegment &prev, const ParsedSegment &cur)
+{
+    if (prev.info.segId + 1 != cur.info.segId)
+        return "segment ids are not consecutive";
+    if (prev.info.isTail)
+        return "a segment follows the tail";
+    if (prev.info.endGcc != cur.info.startGcc)
+        return "GCC intervals do not chain";
+    if (cur.info.hasStartCheckpoint
+        && (cur.start.rawBytes != prev.end.rawBytes
+            || cur.start.compBytes != prev.end.compBytes
+            || cur.start.crc != prev.end.crc))
+        return "start checkpoint differs from the predecessor's end";
+    return "";
+}
+
+SystemCheckpoint
+decodeStartCheckpoint(const std::uint8_t *comp, const ParsedSegment &seg,
+                      unsigned num_procs, std::size_t label)
+{
+    return inSegment(label, [&] {
+        return decodeCheckpoint(comp, seg.start, seg.info.startGcc,
+                                num_procs, label, "start checkpoint");
+    });
+}
+
+namespace
+{
+
+/** Inflated payload of segment i (an ArchiveError on failure). */
+using PayloadFn = std::function<std::vector<std::uint8_t>(std::size_t)>;
+
+/**
+ * Reject an interval request (@p from, @p to) over @p count
+ * checkpoints with CheckpointOutOfRangeError; @p to may be kToEnd.
+ */
 void
 checkInterval(std::size_t from, std::size_t to, std::size_t count)
 {
@@ -615,16 +964,14 @@ checkInterval(std::size_t from, std::size_t to, std::size_t count)
             from, count,
             "interval start checkpoint " + std::to_string(from) + " of "
                 + std::to_string(count));
-    if (to != ArchiveReader::kToEnd && (to <= from || to >= count))
+    if (to != SegmentArchiveReader::kToEnd
+        && (to <= from || to >= count))
         throw CheckpointOutOfRangeError(
             to, count,
             "interval [" + std::to_string(from) + ", "
                 + std::to_string(to)
                 + ") is not a valid checkpoint pair");
 }
-
-namespace
-{
 
 /**
  * Parse one segment, attributing parse errors to it as a typed
@@ -818,8 +1165,6 @@ applyFingerprint(const FinalStats &fin, Recording &rec)
     rec.fingerprint.finalMemHash = fin.finalMemHash;
 }
 
-} // namespace
-
 Recording
 assembleAll(const RunInfo &run, const FinalStats &fin, WorkerPool &pool,
             std::size_t count, const PayloadFn &payload,
@@ -863,5 +1208,140 @@ assembleInterval(const RunInfo &run, const FinalStats &fin,
     return rec;
 }
 
+} // namespace
+
 } // namespace archive_detail
+
+// ----- the shared reader ----------------------------------------------------
+
+using namespace archive_detail;
+
+SegmentArchiveReader::SegmentArchiveReader() = default;
+SegmentArchiveReader::SegmentArchiveReader(SegmentArchiveReader &&) noexcept =
+    default;
+SegmentArchiveReader &
+SegmentArchiveReader::operator=(SegmentArchiveReader &&) noexcept = default;
+SegmentArchiveReader::~SegmentArchiveReader() = default;
+
+void
+SegmentArchiveReader::adopt(std::vector<ParsedSegment> &&records,
+                            const SystemCheckpoint *first_start,
+                            const FinalStats *closed)
+{
+    if (first_start) {
+        checkpoints_.push_back(*first_start);
+        ckpt_boundary_.push_back(0);
+    }
+    for (ParsedSegment &seg : records) {
+        if (seg.info.hasEndCheckpoint) {
+            checkpoints_.push_back(std::move(seg.endCheckpoint));
+            ckpt_boundary_.push_back(segments_.size() + 1);
+        }
+        segments_.push_back(seg.info);
+    }
+    clean_ = closed != nullptr;
+    if (closed) {
+        final_ = *closed;
+    } else {
+        final_.perProcAcc.assign(run_.machine.numProcs, 0);
+        final_.perProcRetired.assign(run_.machine.numProcs, 0);
+    }
+}
+
+std::vector<std::uint64_t>
+SegmentArchiveReader::checkpointGccs() const
+{
+    std::vector<std::uint64_t> gccs;
+    gccs.reserve(checkpoints_.size());
+    for (const SystemCheckpoint &c : checkpoints_)
+        gccs.push_back(c.gcc);
+    return gccs;
+}
+
+const SystemCheckpoint &
+SegmentArchiveReader::checkpointAt(std::size_t index) const
+{
+    if (index >= checkpoints_.size())
+        throw CheckpointOutOfRangeError(
+            index, checkpoints_.size(),
+            "checkpoint " + std::to_string(index) + " of "
+                + std::to_string(checkpoints_.size()));
+    return checkpoints_[index];
+}
+
+std::size_t
+SegmentArchiveReader::newestCheckpointAtOrBefore(std::uint64_t cycle) const
+{
+    const auto it = std::upper_bound(
+        checkpoints_.begin(), checkpoints_.end(), cycle,
+        [](std::uint64_t c, const SystemCheckpoint &ckpt) {
+            return c < ckpt.gcc;
+        });
+    if (it == checkpoints_.begin())
+        throw CheckpointOutOfRangeError(
+            0, checkpoints_.size(),
+            "cycle " + std::to_string(cycle)
+                + " predates the retained window"
+                + (checkpoints_.empty()
+                       ? std::string(" (no checkpoints retained)")
+                       : " (oldest checkpoint at GCC "
+                             + std::to_string(checkpoints_.front().gcc)
+                             + ")"));
+    return static_cast<std::size_t>(it - checkpoints_.begin()) - 1;
+}
+
+WorkerPool &
+SegmentArchiveReader::ioPool() const
+{
+    if (!pool_)
+        pool_ = std::make_unique<WorkerPool>(io_.resolvedIoThreads());
+    return *pool_;
+}
+
+std::vector<std::uint8_t>
+SegmentArchiveReader::payload(std::size_t pos) const
+{
+    const SegmentInfo &info = segments_[pos];
+    std::vector<std::uint8_t> scratch;
+    const std::uint8_t *comp =
+        fetch(pos, info.payloadOffset, info.compBytes, scratch);
+    return inflate(comp, info.compBytes, info.crc32, info.rawBytes,
+                   ArchiveSection::kSegment, pos, "payload");
+}
+
+Recording
+SegmentArchiveReader::readAll() const
+{
+    if (!clean_)
+        throw ArchiveError(
+            ArchiveSection::kFooter, ArchiveError::kNoSegment,
+            "not closed cleanly: readAll unavailable");
+    if (segments_.front().segId != 0)
+        throw CheckpointOutOfRangeError(
+            0, checkpointCount(),
+            "run start evicted: oldest retained segment is "
+                + std::to_string(segments_.front().segId));
+    return assembleAll(
+        run_, final_, ioPool(), segments_.size(),
+        [this](std::size_t pos) { return payload(pos); }, checkpoints_);
+}
+
+Recording
+SegmentArchiveReader::readInterval(std::size_t from, std::size_t to) const
+{
+    checkInterval(from, to, checkpointCount());
+    if (to == kToEnd && !clean_)
+        throw ArchiveError(
+            ArchiveSection::kFooter, ArchiveError::kNoSegment,
+            "not closed cleanly: final stats are unavailable, bound "
+            "the interval at a retained checkpoint");
+    const std::size_t lo = ckpt_boundary_[from];
+    const std::size_t hi =
+        to == kToEnd ? segments_.size() : ckpt_boundary_[to];
+    return assembleInterval(
+        run_, final_, ioPool(), checkpoints_[from],
+        to == kToEnd ? nullptr : &checkpoints_[to], lo, hi - lo,
+        [this](std::size_t pos) { return payload(pos); });
+}
+
 } // namespace delorean

@@ -3,24 +3,22 @@
  * Shared internals of the archive containers (library-private).
  *
  * The `.dla` archive (store/archive) and the ring container
- * (store/ring) store exactly the same per-segment log slices: both cut
- * a recording at checkpoint boundaries and store the slice between
- * two consecutive boundaries as one LZ77-compressed payload. This
- * header holds everything the two share, so they stay byte-compatible
- * by construction:
+ * (store/ring) store the same unit: the self-describing segment
+ * record. The ring keeps one record per `seg-<id>` file; a `.dla`
+ * packs the records of a whole run into one file between a meta
+ * record and an index record. This header holds everything the two
+ * share, so they stay byte-compatible by construction:
  *
- *  - the segment boundary a cut ends at;
+ *  - the record encodings: the segment record, and the meta and index
+ *    records (a 40-byte preamble and a raw blob);
  *  - the writer side: one SegmentPipeline (feeder-side cuts, a
  *    double-buffered flusher thread, the codec pool, error poisoning)
- *    driving a SegmentSink that decides where a cut segment lands;
- *  - the reader side: payload inflate (CRC, decompress, size check),
- *    decode-and-append reassembly, and the run metadata and final
- *    stats both containers encode the same way.
- *
- * A ring segment's payload for a given checkpoint interval is
- * identical to the `.dla` archive's, and an interval Recording
- * reconstructed from either container is byte-identical under
- * saveRecording().
+ *    driving a SegmentSink that decides where a cut segment's record
+ *    lands;
+ *  - the reader side: one segment-record parser over a byte span,
+ *    the chain check between consecutive records, payload inflate
+ *    (CRC, decompress, size check), and decode-and-append
+ *    reassembly.
  *
  * Everything here is an implementation detail: not installed, not
  * part of the public API, subject to change with the container
@@ -31,11 +29,14 @@
 #define DELOREAN_STORE_ARCHIVE_DETAIL_HPP_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,19 +73,70 @@ std::uint64_t readU64At(const std::uint8_t *bytes, std::size_t offset);
 bool readWholeFile(const std::string &path,
                    std::vector<std::uint8_t> &bytes);
 
-// ----- shared metadata ------------------------------------------------------
+// ----- meta and index records ----------------------------------------------
 
-/** Serialize @p rec's run identity (RunInfo field order). */
-void putRunInfo(std::ostream &out, const Recording &rec);
+/// Preamble magics of the meta and index records.
+constexpr std::uint64_t kMetaMagic = 0x2E676E526F4C6544ull;  // "DeLoRng."
+constexpr std::uint64_t kIndexMagic = 0x786449526F4C6544ull; // "DeLoRIdx"
+/// Meta/index preamble: magic, version, reserved, blob size, blob
+/// CRC-32.
+constexpr std::size_t kBlobPreambleBytes = 40;
 
-/** Parse and validate a putRunInfo() block. */
-RunInfo getRunInfo(std::istream &in);
+/** A meta or index record: the preamble, then @p blob as is. */
+void putBlobRecord(std::ostream &out, std::uint64_t magic,
+                   const std::string &blob);
 
-/** Serialize @p rec's end-of-run values (FinalStats field order). */
-void putFinalStats(std::ostream &out, const Recording &rec);
+/** Meta record contents: run identity, then the ring's knobs. */
+struct Meta
+{
+    RunInfo run;
+    std::uint64_t budgetBytes = 0;
+    std::uint64_t checkpointPeriod = 0;
+    std::uint64_t maxReplayLag = 0;
+};
 
-/** Parse a putFinalStats() block for a run of @p num_procs. */
-FinalStats getFinalStats(std::istream &in, unsigned num_procs);
+/** Meta blob of @p rec; a `.dla` stores zero knobs. */
+std::string metaBlob(const Recording &rec, std::uint64_t budget_bytes,
+                     std::uint64_t checkpoint_period,
+                     std::uint64_t max_replay_lag);
+
+/**
+ * Open and parse the meta record spanning exactly @p bytes[0, size);
+ * failures are ArchiveError(kFileHeader) led by @p what.
+ */
+Meta openMetaRecord(const std::uint8_t *bytes, std::size_t size,
+                    const std::string &what);
+
+/** One index entry: a stored record's segment id and size. */
+struct RecordRef
+{
+    std::uint64_t segId = 0;
+    std::uint64_t bytes = 0;
+};
+
+/** Index record contents. */
+struct IndexInfo
+{
+    bool clean = false;           ///< written at close
+    std::vector<RecordRef> live;  ///< stored records, oldest first
+    FinalStats fin;               ///< clean indexes only
+};
+
+/**
+ * Index blob over @p live; @p closed is the finished recording (a
+ * clean index carrying its final stats) or nullptr (a progress
+ * snapshot).
+ */
+std::string indexBlob(const std::vector<RecordRef> &live,
+                      const Recording *closed);
+
+/**
+ * Open and parse the index record spanning exactly @p bytes[0, size)
+ * for a run of @p num_procs; a RecordingFormatError says why it is
+ * unusable.
+ */
+IndexInfo openIndexRecord(const std::uint8_t *bytes, std::size_t size,
+                          unsigned num_procs);
 
 // ----- writer side ----------------------------------------------------------
 
@@ -109,19 +161,29 @@ EncodedBlob encodeBlob(const std::string &raw);
 
 /**
  * One segment between its cut (feeder thread) and its commit (flusher
- * thread). The cut fills index, startGcc, raw and info's endGcc,
- * rawBytes and checkpoint; the codec fills payload and info's
- * compBytes and crc32. Sinks may fill the rest.
+ * thread). The cut fills everything but the blobs; the codec fills
+ * payload and, when the segment ends at a checkpoint, end.
  */
 struct StagedSegment
 {
-    std::size_t index = 0;       ///< zero-based cut order
-    std::uint64_t startGcc = 0;  ///< GCC at the previous boundary
-    ArchiveSegmentInfo info;
-    std::string raw;             ///< payload, freed once compressed
+    std::size_t index = 0;      ///< zero-based cut order
+    std::uint64_t startGcc = 0; ///< GCC at the previous boundary
+    std::uint64_t endGcc = 0;
+    std::string raw;            ///< payload, freed once compressed
+    /// The boundary checkpoint; empty for the tail segment.
+    std::optional<SystemCheckpoint> checkpoint;
     EncodedBlob payload;
-    EncodedBlob extra;           ///< sink-defined (see encodeExtra)
+    EncodedBlob end; ///< the checkpoint image, when there is one
 };
+
+/**
+ * Write @p seg as one segment record: preamble, header blob, the
+ * start-checkpoint image @p start (nullptr: the record omits it), the
+ * end-checkpoint image, the payload. Returns the record's size.
+ */
+std::uint64_t putSegmentRecord(std::ostream &out,
+                               const StagedSegment &seg,
+                               const EncodedBlob *start);
 
 /** Where a SegmentPipeline's cut segments land. */
 class SegmentSink
@@ -137,21 +199,6 @@ class SegmentSink
     /** Feeder thread, once, before the first cut. */
     virtual void begin(const Recording &rec) = 0;
 
-    /**
-     * Feeder thread, after each cut, while @p rec is still live:
-     * record whatever only the live recording knows.
-     */
-    virtual void annotate(const Recording &, const Boundary &,
-                          const Boundary &, StagedSegment &)
-    {
-    }
-
-    /**
-     * Codec pool, alongside the payload's compression: encode any
-     * second blob of @p seg into seg.extra. Default: none.
-     */
-    virtual void encodeExtra(StagedSegment &) {}
-
     /** Flusher thread: commit one encoded batch, in cut order. */
     virtual void commit(std::vector<StagedSegment> &batch) = 0;
 };
@@ -162,7 +209,8 @@ class SegmentSink
  * payloads synchronously — boundary math and buildSegmentPayload read
  * the live recording, which keeps growing after each hook returns —
  * and stages owned StagedSegments. The *flusher* thread compresses a
- * snatched batch over the codec pool and hands it to the sink; while
+ * snatched batch (payloads and end-checkpoint images) over the codec
+ * pool and hands it to the sink; while
  * it runs, the feeder keeps staging without blocking (double
  * buffering). Handoff is by join: the feeder only touches `flushing_`,
  * the pool and sink-committed state after observing flush_done_ and
@@ -224,10 +272,62 @@ class SegmentPipeline
 
 // ----- reader side ----------------------------------------------------------
 
+/** Where a blob sits in its file and what verifies it. */
+struct BlobRef
+{
+    std::uint64_t offset = 0;
+    std::uint64_t rawBytes = 0;
+    std::uint64_t compBytes = 0;
+    std::uint64_t crc = 0;
+};
+
+/** One parsed segment record, checked on its own. */
+struct ParsedSegment
+{
+    SegmentInfo info;
+    BlobRef start; ///< CRC-checked, not decoded (hasStartCheckpoint)
+    BlobRef end;   ///< (hasEndCheckpoint)
+    SystemCheckpoint endCheckpoint; ///< decoded, checked against info
+};
+
+/**
+ * Parse the segment record spanning exactly @p bytes[0, size), found
+ * at @p file_offset in its file, for a run of @p num_procs. Every
+ * blob is CRC-checked; the header and the end checkpoint are decoded
+ * and cross-checked, the start checkpoint is not decoded (see
+ * chainBreak and decodeStartCheckpoint). A start checkpoint is only
+ * allowed after segment 0. Failures are ArchiveError(kSegment,
+ * @p label).
+ */
+ParsedSegment parseSegmentRecord(const std::uint8_t *bytes,
+                                 std::size_t size,
+                                 std::uint64_t file_offset,
+                                 unsigned num_procs, std::size_t label);
+
+/**
+ * Why @p cur cannot directly follow @p prev in one run, or an empty
+ * string: ids must be consecutive, GCC intervals must chain, and a
+ * start checkpoint @p cur stores must be the very image @p prev ends
+ * with (same size and CRC), so it never needs decoding.
+ */
+std::string chainBreak(const ParsedSegment &prev,
+                       const ParsedSegment &cur);
+
+/**
+ * Decode @p seg's start checkpoint from its stored blob @p comp and
+ * check it against the header; for the first segment of a run, which
+ * has no predecessor to share the image with. Failures are
+ * ArchiveError(kSegment, @p label).
+ */
+SystemCheckpoint decodeStartCheckpoint(const std::uint8_t *comp,
+                                       const ParsedSegment &seg,
+                                       unsigned num_procs,
+                                       std::size_t label);
+
 /**
  * CRC-check, LZ77-decompress and size-check one stored blob. Every
  * failure is an ArchiveError in @p section naming @p index, its
- * message led by @p what ("payload", "footer", ...).
+ * message led by @p what ("payload", "header", ...).
  */
 std::vector<std::uint8_t> inflate(const std::uint8_t *comp,
                                   std::uint64_t comp_bytes,
@@ -235,40 +335,6 @@ std::vector<std::uint8_t> inflate(const std::uint8_t *comp,
                                   std::uint64_t raw_bytes,
                                   ArchiveSection section,
                                   std::size_t index, const char *what);
-
-/** Inflated payload of segment i (an ArchiveError on failure). */
-using PayloadFn = std::function<std::vector<std::uint8_t>(std::size_t)>;
-
-/**
- * Reject an interval request (@p from, @p to) over @p count
- * checkpoints with CheckpointOutOfRangeError; @p to may be
- * ArchiveReader::kToEnd.
- */
-void checkInterval(std::size_t from, std::size_t to, std::size_t count);
-
-/**
- * Whole-recording read: decode segments 0..count-1 and append them
- * with their shard masks, then restore @p checkpoints and the full
- * @p fin. Validated before return.
- */
-Recording assembleAll(const RunInfo &run, const FinalStats &fin,
-                      WorkerPool &pool, std::size_t count,
-                      const PayloadFn &payload,
-                      std::vector<SystemCheckpoint> checkpoints);
-
-/**
- * Interval read: a synthetic prefix up to @p start, then segments
- * first..first+count-1 (maskless: interval replay is total-order),
- * the start checkpoint at checkpoints[0] and, when bounded, @p stop
- * at checkpoints[1]. Restores @p fin's fingerprint only. Validated
- * before return.
- */
-Recording assembleInterval(const RunInfo &run, const FinalStats &fin,
-                           WorkerPool &pool,
-                           const SystemCheckpoint &start,
-                           const SystemCheckpoint *stop,
-                           std::size_t first, std::size_t count,
-                           const PayloadFn &payload);
 
 } // namespace archive_detail
 } // namespace delorean

@@ -1,8 +1,8 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3 polynomial, reflected) used by the archive
- * container to detect payload corruption. Every segment and the
- * footer carry the CRC of their *compressed* bytes, so a bit flip is
+ * containers to detect corruption. Every compressed blob of a segment
+ * record carries the CRC of its *compressed* bytes, so a bit flip is
  * caught before the LZ77 decoder or the deserializer ever see it.
  */
 

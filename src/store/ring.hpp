@@ -10,18 +10,17 @@
  *   seg-<id>        one file per checkpoint interval, self-describing
  *   ring.index      retained-set snapshot, atomically rewritten
  *
- * Each segment file carries its own header — magic, segment id, GCC
- * interval, the full START and END system checkpoints, payload sizes
- * and CRCs — so any contiguous run of surviving segment files is
- * independently decodable and *validatable* without a footer: replay
+ * Each segment file is one segment record (store/archive.hpp): its
+ * own header — magic, segment id, GCC interval — then the START and
+ * END system checkpoint images, then the payload, every blob CRC'd.
+ * Any contiguous run of surviving segment files is therefore
+ * independently decodable and *validatable* without an index: replay
  * can start at any retained segment's start checkpoint and every
  * bounded interval is judged against the end checkpoint it runs to.
- * (This inverts the `.dla` layout, where checkpoints live in a footer
- * written last; a footer is exactly what a crashed recorder never
- * wrote.) The payload bytes for a given checkpoint interval are
- * byte-identical to the `.dla` archive's — both containers run the
- * same segment pipeline (store/archive_detail.hpp) and differ only in
- * where a cut segment lands.
+ * A `.dla` packs the very same records into one file (minus the start
+ * images, which a contiguous run never needs): both containers run
+ * the same segment pipeline and record writer
+ * (store/archive_detail.hpp) and differ only in where a record lands.
  *
  * Availability guarantee (the checkpoint-placement contract): with
  * checkpoints every P commits, a segment spans at most P commits and
@@ -93,23 +92,6 @@ struct RingOptions
      * point closer than 2P-1 commits behind the frontier).
      */
     void validate() const;
-};
-
-/** Everything known about one retained ring segment. */
-struct RingSegmentInfo
-{
-    std::uint64_t segId = 0;   ///< global monotone cut counter
-    std::uint64_t startGcc = 0;
-    std::uint64_t endGcc = 0;
-    std::uint64_t rawBytes = 0;  ///< decompressed payload size
-    std::uint64_t compBytes = 0; ///< stored payload size
-    std::uint64_t crc32 = 0;     ///< CRC-32 of the compressed payload
-    std::uint64_t fileBytes = 0; ///< whole segment file size
-    bool isTail = false;         ///< final segment of a clean close
-    bool hasStartCheckpoint = false; ///< false only for segment 0
-    bool hasEndCheckpoint = false;   ///< false only for the tail
-    SystemCheckpoint startCheckpoint;
-    SystemCheckpoint endCheckpoint;
 };
 
 /** Writer-side counters (RingArchiveWriter::stats). */
@@ -199,95 +181,41 @@ struct RingRecoveryInfo
  * Reads a ring directory, recovering the retained window even after
  * a crash. All failure modes are typed: a missing or corrupt
  * container raises ArchiveError, an interval request outside the
- * retained window raises CheckpointOutOfRangeError.
+ * retained window raises CheckpointOutOfRangeError. Seeks and reads
+ * are the shared SegmentArchiveReader's; unbounded reads and readAll
+ * need a clean close (the final stats live in the clean index),
+ * bounded intervals work on salvaged rings too, and readAll also
+ * needs segment 0 (nothing evicted).
  */
-class RingArchiveReader
+class RingArchiveReader : public SegmentArchiveReader
 {
   public:
-    static constexpr std::size_t kToEnd = static_cast<std::size_t>(-1);
-
     /** True when @p dir has a plausible ring.meta. */
     static bool looksLikeRing(const std::string &dir);
 
     static RingArchiveReader open(const std::string &dir,
                                   const ArchiveIoOptions &io = {});
 
-    RingArchiveReader(RingArchiveReader &&) noexcept;
-    RingArchiveReader &operator=(RingArchiveReader &&) noexcept;
-    ~RingArchiveReader();
-
-    const MachineConfig &machine() const { return run_.machine; }
-    const ModeConfig &mode() const { return run_.mode; }
-    const std::string &appName() const { return run_.app; }
-    std::uint64_t workloadSeed() const { return run_.seed; }
-    unsigned iterationsPercent() const { return run_.iterations; }
     /** The options the ring was recorded with (from ring.meta). */
     const RingOptions &options() const { return opts_; }
 
     const RingRecoveryInfo &recovery() const { return recovery_; }
 
-    /** Retained segments, ascending segId (contiguous). */
-    const std::vector<RingSegmentInfo> &segments() const
-    {
-        return segments_;
-    }
-
     /** Retained window in GCC space: (startGcc, endGcc]. */
     std::uint64_t startGcc() const;
     std::uint64_t endGcc() const;
 
-    /** Decodable replay starting points, ascending GCC. */
-    std::size_t checkpointCount() const;
-    std::vector<std::uint64_t> checkpointGccs() const;
-    const SystemCheckpoint &checkpointAt(std::size_t index) const;
-
-    /**
-     * Index of the newest checkpoint with GCC <= @p cycle — the
-     * time-travel seek. @throws CheckpointOutOfRangeError when
-     * @p cycle predates the retained window.
-     */
-    std::size_t newestCheckpointAtOrBefore(std::uint64_t cycle) const;
-
-    /**
-     * Reconstruct the interval recording between checkpoints @p from
-     * and @p to (indices into the retained checkpoint list), exactly
-     * like ArchiveReader::readInterval — byte-identical to the batch
-     * archive's view of the same GCC interval. @p to == kToEnd runs
-     * to the recording's end and requires a cleanly closed ring (the
-     * final stats live in the clean index); bounded intervals work on
-     * salvaged rings too.
-     */
-    Recording readInterval(std::size_t from,
-                           std::size_t to = kToEnd) const;
-
-    /**
-     * Reconstruct the whole recording. Requires a cleanly closed ring
-     * that still retains segment 0 (nothing evicted); a ring whose
-     * history was evicted raises CheckpointOutOfRangeError.
-     */
-    Recording readAll() const;
-
   private:
-    RingArchiveReader();
+    RingArchiveReader() = default;
 
-    std::vector<std::uint8_t> segmentPayload(std::size_t pos) const;
-    WorkerPool &ioPool() const;
-    /// Checkpoint at boundary @p b (0..segments().size()).
-    const SystemCheckpoint &boundaryCheckpoint(std::size_t b) const;
+    const std::uint8_t *fetch(std::size_t pos, std::uint64_t offset,
+                              std::uint64_t bytes,
+                              std::vector<std::uint8_t> &scratch)
+        const override;
 
-    std::string dir_;
-    ArchiveIoOptions io_;
     RingOptions opts_;
-    archive_detail::RunInfo run_;
     RingRecoveryInfo recovery_;
-    std::vector<RingSegmentInfo> segments_;
-    std::vector<std::string> seg_paths_;      ///< parallel to segments_
-    std::vector<std::uint64_t> payload_off_;  ///< parallel to segments_
-    /// Boundary index (0..segments count) of each checkpoint.
-    std::vector<std::size_t> ckpt_boundary_;
-    /// Final stats (clean rings only; zeros otherwise).
-    archive_detail::FinalStats final_;
-    mutable std::unique_ptr<WorkerPool> pool_;
+    std::vector<std::string> seg_paths_; ///< parallel to segments()
 };
 
 } // namespace delorean

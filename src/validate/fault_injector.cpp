@@ -19,6 +19,7 @@
 #include "compress/lz77.hpp"
 #include "core/serialize.hpp"
 #include "store/archive.hpp"
+#include "store/archive_detail.hpp"
 #include "store/crc32.hpp"
 
 namespace delorean
@@ -415,10 +416,7 @@ flipBits(std::vector<std::uint8_t> &bytes, std::size_t begin,
 std::uint64_t
 u64At(const std::vector<std::uint8_t> &bytes, std::size_t offset)
 {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(bytes[offset + i]) << (8 * i);
-    return v;
+    return archive_detail::readU64At(bytes.data(), offset);
 }
 
 void
@@ -442,20 +440,22 @@ mutateArchive(const std::vector<std::uint8_t> &bytes,
         flipBits(out, 0, out.size(), rng);
         return out;
     }
-    const std::size_t trailer = out.size() - 40;
-    const std::uint64_t footer_offset = u64At(out, trailer);
+    // Trailer: the index record's offset, then the end magic.
+    const std::size_t trailer = out.size() - 16;
+    const std::size_t index_off = static_cast<std::size_t>(
+        std::min<std::uint64_t>(u64At(out, trailer), trailer));
 
     switch (kind) {
       case ArchiveMutationKind::kSegmentBitFlip: {
         // Aim at one segment's compressed payload via the archive's
-        // own index so the flip never lands in footer or trailer.
+        // own index so the flip never lands in a header or the index.
         try {
             const ArchiveReader reader = ArchiveReader::fromBytes(out);
             const auto &segs = reader.segments();
-            const ArchiveSegmentInfo &seg =
+            const SegmentInfo &seg =
                 segs[static_cast<std::size_t>(rng.below(segs.size()))];
             const std::size_t begin =
-                static_cast<std::size_t>(seg.fileOffset) + 40;
+                static_cast<std::size_t>(seg.payloadOffset);
             flipBits(out, begin,
                      begin + static_cast<std::size_t>(seg.compBytes),
                      rng);
@@ -465,84 +465,68 @@ mutateArchive(const std::vector<std::uint8_t> &bytes,
         break;
       }
       case ArchiveMutationKind::kFooterTruncate: {
-        // Cut somewhere inside the footer or trailer region.
-        const std::size_t begin = std::min<std::size_t>(
-            static_cast<std::size_t>(footer_offset), out.size());
-        out.resize(begin + rng.below(out.size() - begin));
+        // Cut somewhere inside the index record or the trailer.
+        out.resize(index_off + rng.below(out.size() - index_off));
         break;
       }
       case ArchiveMutationKind::kIndexCorrupt: {
-        // Scribble on the *decompressed* footer, then recompress and
-        // rebuild a consistent trailer (sizes + CRC all valid), so
-        // the checksum layer passes and the reader's semantic
-        // cross-checks are what must catch the lie.
+        // Make the index record or one segment header lie while every
+        // size and CRC still holds, so the checksum layer passes and
+        // the reader's semantic cross-checks are what must catch it.
         try {
-            const std::uint64_t comp_size = u64At(out, trailer + 8);
-            const Lz77 codec;
-            std::vector<std::uint8_t> raw =
-                codec.decompress(std::vector<std::uint8_t>(
-                    out.begin() + static_cast<long>(footer_offset),
-                    out.begin()
-                        + static_cast<long>(footer_offset
-                                            + comp_size)));
-            if (raw.empty())
+            const ArchiveReader reader = ArchiveReader::fromBytes(out);
+            constexpr std::size_t kBlobPreamble = 40;
+            std::size_t index = index_off;
+            const auto reseal_index = [&out, &index] {
+                const std::size_t blob = index + kBlobPreamble;
+                putU64At(out, index + 32,
+                         crc32(out.data() + blob,
+                               out.size() - 16 - blob));
+            };
+            if (rng.below(2) == 0) {
+                // Scribble on the index blob: the live list (segment
+                // ids and record sizes) or the final stats.
+                const std::size_t blob = index + kBlobPreamble;
+                out[blob + rng.below(out.size() - 16 - blob)] ^=
+                    static_cast<std::uint8_t>(1 + rng.below(255));
+                reseal_index();
                 break;
-            // Half the mutants aim at the first segment's structural
-            // index fields (endGcc, file offset, sizes, CRC, log bit
-            // positions) — a one-byte scribble anywhere else in the
-            // footer almost always lands in checkpoint memory words,
-            // which only the replay legs can judge. Walk the footer
-            // layout: machine + mode + appName + seed + iterations +
-            // stats + per-proc finals + memory hash + segment count.
-            std::size_t idx0 = raw.size();
-            if (raw.size() >= 160) {
-                const auto rawU64 = [&raw](std::size_t off) {
-                    std::uint64_t v = 0;
-                    for (int i = 0; i < 8; ++i)
-                        v |= static_cast<std::uint64_t>(raw[off + i])
-                             << (8 * i);
-                    return v;
-                };
-                // machine (12 u64s) + mode (7 u64s) precede appName.
-                const std::uint64_t name_len = rawU64(152);
-                if (name_len < raw.size()) {
-                    std::size_t off = 160
-                                      + static_cast<std::size_t>(
-                                          name_len)
-                                      + 16 + 64;
-                    if (off + 8 <= raw.size()) {
-                        const std::uint64_t procs = rawU64(off);
-                        off += 8
-                               + static_cast<std::size_t>(procs) * 16
-                               + 8 + 8;
-                        if (off + 56 <= raw.size())
-                            idx0 = off;
-                    }
-                }
             }
-            const std::size_t pos =
-                (idx0 + 56 <= raw.size() && rng.below(2) == 0)
-                    ? idx0 + static_cast<std::size_t>(rng.below(56))
-                    : static_cast<std::size_t>(rng.below(raw.size()));
-            raw[pos] ^=
+            // Scribble on one segment's decompressed header, then
+            // recompress it and fix up its preamble, its index entry
+            // and the trailer for the new header size.
+            const auto &segs = reader.segments();
+            const std::size_t k =
+                static_cast<std::size_t>(rng.below(segs.size()));
+            const std::size_t rec =
+                static_cast<std::size_t>(segs[k].recordOffset);
+            const std::size_t comp_at = rec + 48;
+            const std::size_t comp_size =
+                static_cast<std::size_t>(u64At(out, rec + 32));
+            std::vector<std::uint8_t> raw =
+                Lz77().decompress(out.data() + comp_at, comp_size);
+            raw[rng.below(raw.size())] ^=
                 static_cast<std::uint8_t>(1 + rng.below(255));
             Lz77Stream stream;
             stream.append(raw);
             const std::vector<std::uint8_t> comp = stream.finish();
-            out.resize(static_cast<std::size_t>(footer_offset));
-            out.insert(out.end(), comp.begin(), comp.end());
-            const std::size_t new_trailer = out.size();
-            out.resize(out.size() + 40);
-            putU64At(out, new_trailer, footer_offset);
-            putU64At(out, new_trailer + 8, comp.size());
-            putU64At(out, new_trailer + 16, raw.size());
-            putU64At(out, new_trailer + 24,
-                     crc32(comp.data(), comp.size()));
-            putU64At(out, new_trailer + 32,
-                     u64At(bytes, trailer + 32)); // end magic
+            out.erase(out.begin() + static_cast<std::ptrdiff_t>(comp_at),
+                      out.begin()
+                          + static_cast<std::ptrdiff_t>(comp_at
+                                                        + comp_size));
+            out.insert(out.begin() + static_cast<std::ptrdiff_t>(comp_at),
+                       comp.begin(), comp.end());
+            putU64At(out, rec + 24, raw.size());
+            putU64At(out, rec + 32, comp.size());
+            putU64At(out, rec + 40, crc32(comp.data(), comp.size()));
+            index = index + comp.size() - comp_size;
+            const std::size_t entry = index + kBlobPreamble + 16 + 16 * k;
+            putU64At(out, entry + 8,
+                     u64At(out, entry + 8) + comp.size() - comp_size);
+            reseal_index();
+            putU64At(out, out.size() - 16, index);
         } catch (const std::exception &) {
-            flipBits(out, static_cast<std::size_t>(footer_offset),
-                     out.size(), rng);
+            flipBits(out, index_off, out.size(), rng);
         }
         break;
       }

@@ -122,19 +122,21 @@ FaultSweepSummary runFaultSweep(const Recording &rec,
 // ----- archive-level fault injection (src/store container) ------------------
 
 /**
- * Mutation classes applied to an archive byte stream. Unlike the
+ * Mutation classes applied to a `.dla` byte stream. Unlike the
  * serialized-recording mutations above, these target the container's
- * structural layers: compressed segment payloads, the footer, and the
- * footer's semantic index (where the CRC is *valid* but the indexed
- * metadata lies, so the reader's cross-checks — not the checksum —
- * must catch it).
+ * structural layers: compressed segment payloads, the index record
+ * and trailer at the end of the file, and the semantic content of the
+ * index and segment headers (where every size and CRC is *valid* but
+ * the content lies, so the reader's cross-checks — not the checksums
+ * — must catch it).
  */
 enum class ArchiveMutationKind : std::uint8_t
 {
     kSegmentBitFlip, ///< flip 1-8 bits inside one segment's payload
-    kFooterTruncate, ///< cut the stream inside the footer or trailer
-    kIndexCorrupt,   ///< scribble on the decompressed footer, then
-                     ///< recompress and rebuild a *valid* trailer
+    kFooterTruncate, ///< cut the stream inside the index or trailer
+    kIndexCorrupt,   ///< scribble on the index blob or one segment's
+                     ///< decompressed header, then reseal every size
+                     ///< and CRC around it
 };
 
 constexpr unsigned kArchiveMutationKinds = 3;

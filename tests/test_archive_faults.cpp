@@ -390,7 +390,7 @@ TEST(ArchiveFaults, MmapFailureEdgesMatchBufferedReads)
     // Truncated mid-segment: cut inside segment 1's payload.
     {
         const std::size_t cut = static_cast<std::size_t>(
-            intact.segments()[1].fileOffset + 40 + 3);
+            intact.segments()[1].payloadOffset + 3);
         ASSERT_LT(cut, bytes.size());
         const std::vector<std::uint8_t> cut_bytes(
             bytes.begin(),
@@ -429,7 +429,7 @@ TEST(ArchiveFaults, MmapFailureEdgesMatchBufferedReads)
     {
         std::vector<std::uint8_t> corrupt = bytes;
         corrupt[static_cast<std::size_t>(
-            intact.segments()[0].fileOffset + 40)] ^= 0x10;
+            intact.segments()[0].payloadOffset)] ^= 0x10;
         const std::string path =
             writeTemp(corrupt, "edge_crc.dla");
         const LoadOutcome mapped = loadFileOutcome(path, true);

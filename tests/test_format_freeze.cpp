@@ -6,7 +6,8 @@
  * FNV-1a digest. A change to the writers that moves any stored byte —
  * segment cuts, payload layout, codec, footer, ring headers, index —
  * fails here even when it still round-trips, so a container format
- * change has to be made deliberately (new version, new digests).
+ * change has to be made deliberately (new version, new digests). The
+ * archive lines are pinned at `.dla` version 3.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,10 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "compress/lz77.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
 #include "store/archive.hpp"
@@ -50,6 +54,25 @@ fileBytes(const std::filesystem::path &path)
     return std::move(out).str();
 }
 
+/** The fixed recording the pinned bytes are stored from. */
+Recording
+fixture(const ModeConfig &mode, unsigned arbiters)
+{
+    MachineConfig machine;
+    machine.numProcs = 4;
+    machine.bulk.numArbiters = arbiters;
+    const Workload w("fft", 4, 9, WorkloadScale::tiny());
+    return Recorder(mode, machine).record(w, 1, true, {}, 20);
+}
+
+std::string
+archiveBytes(const Recording &rec)
+{
+    std::ostringstream dla(std::ios::binary);
+    writeArchive(rec, dla, ArchiveIoOptions{2, true});
+    return std::move(dla).str();
+}
+
 /**
  * "<name> <size>:<fnv1a64>" per line: the archive first, then every
  * ring file in name order.
@@ -58,16 +81,8 @@ std::string
 manifest(const std::string &label, const ModeConfig &mode,
          unsigned arbiters)
 {
-    MachineConfig machine;
-    machine.numProcs = 4;
-    machine.bulk.numArbiters = arbiters;
-    const Workload w("fft", 4, 9, WorkloadScale::tiny());
-    const Recording rec =
-        Recorder(mode, machine).record(w, 1, true, {}, 20);
-
-    std::ostringstream dla(std::ios::binary);
-    writeArchive(rec, dla, ArchiveIoOptions{2, true});
-    std::string lines = "archive " + digest(std::move(dla).str()) + "\n";
+    const Recording rec = fixture(mode, arbiters);
+    std::string lines = "archive " + digest(archiveBytes(rec)) + "\n";
 
     // Once with nothing evicted (every segment shape, segment 0
     // included) and once with a budget that evicts about half.
@@ -127,7 +142,7 @@ stratified()
 TEST(FormatFreeze, OrderAndSize)
 {
     EXPECT_EQ(manifest("oas", ModeConfig::orderAndSize(), 1),
-              "archive 395796:87342b0fdc565d42\n"
+              "archive 396371:cc5910ee60b6c2a8\n"
               "full/ring.index 328:889dd22811ec13c2\n"
               "full/ring.meta 243:2dba8348cbbdc736\n"
               "full/seg-000000000000 28019:e4dbaa16f8c6ccd7\n"
@@ -148,7 +163,7 @@ TEST(FormatFreeze, OrderAndSize)
 TEST(FormatFreeze, OrderOnly)
 {
     EXPECT_EQ(manifest("oo", ModeConfig::orderOnly(), 1),
-              "archive 340160:bbbe8f9f6c33f062\n"
+              "archive 340843:febdaba68fcd75f9\n"
               "full/ring.index 312:89295c239de350c5\n"
               "full/ring.meta 243:fa753bbcd451bf4c\n"
               "full/seg-000000000000 30333:1c335028f01a8003\n"
@@ -168,7 +183,7 @@ TEST(FormatFreeze, OrderOnly)
 TEST(FormatFreeze, OrderOnlyShardedArbiter)
 {
     EXPECT_EQ(manifest("oo4", ModeConfig::orderOnly(), 4),
-              "archive 340264:cd1b29a53bd8bc57\n"
+              "archive 340943:db6f2f6d0ca59070\n"
               "full/ring.index 312:3cfb01014360a9bf\n"
               "full/ring.meta 243:f3a3f43ced2ea34d\n"
               "full/seg-000000000000 30342:f9da5a1ee844ff46\n"
@@ -188,7 +203,7 @@ TEST(FormatFreeze, OrderOnlyShardedArbiter)
 TEST(FormatFreeze, OrderOnlyStratified)
 {
     EXPECT_EQ(manifest("strat", stratified(), 1),
-              "archive 340176:332d2ead8ed4fe38\n"
+              "archive 340857:81fa6d794bcfe464\n"
               "full/ring.index 312:ffba3663f02341c5\n"
               "full/ring.meta 243:57be17cf16873d23\n"
               "full/seg-000000000000 30346:ba8bb181c379c66a\n"
@@ -208,7 +223,7 @@ TEST(FormatFreeze, OrderOnlyStratified)
 TEST(FormatFreeze, PicoLog)
 {
     EXPECT_EQ(manifest("pico", ModeConfig::picoLog(), 1),
-              "archive 400444:301cc7868e63d6de\n"
+              "archive 401293:4861d45c479d9046\n"
               "full/ring.index 344:75e99555aae01d3c\n"
               "full/ring.meta 243:44225f4b477855cc\n"
               "full/seg-000000000000 19929:a74cce9f2254fc9c\n"
@@ -225,6 +240,112 @@ TEST(FormatFreeze, PicoLog)
               "evict/seg-000000000006 129155:864a8297454400c1\n"
               "evict/seg-000000000007 142301:72bbfb9f078d9bb0\n"
               "evict/seg-000000000008 76065:a3fe76acf6d96dfd\n");
+}
+
+std::uint64_t
+u64At(const std::string &bytes, std::size_t offset)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(bytes[offset + i]))
+             << (8 * i);
+    return v;
+}
+
+/** Decompressed header blob of the segment record in @p record. */
+std::string
+recordHeader(const std::string &record)
+{
+    const std::vector<std::uint8_t> raw = Lz77().decompress(
+        reinterpret_cast<const std::uint8_t *>(record.data()) + 48,
+        static_cast<std::size_t>(u64At(record, 32)));
+    return std::string(raw.begin(), raw.end());
+}
+
+/**
+ * One on-disk unit: every segment record of a `.dla` is the unbounded
+ * ring's seg-<id> file for the same recording, except that records
+ * after segment 0 omit the start-checkpoint image — which the ring
+ * stores as a byte copy of the previous segment's end image. Segment
+ * 0 (which has no start image) is byte-identical; for the others the
+ * preamble words, the end image and the payload are byte-identical,
+ * and the headers differ only in the start image reference.
+ */
+TEST(FormatFreeze, ArchiveSegmentsAreRingRecords)
+{
+    for (const auto &[label, mode] :
+         {std::pair{"oas", ModeConfig::orderAndSize()},
+          std::pair{"oo", ModeConfig::orderOnly()},
+          std::pair{"strat", stratified()},
+          std::pair{"pico", ModeConfig::picoLog()}}) {
+        const Recording rec = fixture(mode, 1);
+        const std::string dla = archiveBytes(rec);
+        const ArchiveReader archive = ArchiveReader::fromBytes(
+            std::vector<std::uint8_t>(dla.begin(), dla.end()));
+        const std::filesystem::path dir =
+            testing::TempDir() + "freeze_unit_" + label;
+        std::filesystem::remove_all(dir);
+        RingOptions opts;
+        opts.budgetBytes = ~0ull;
+        opts.checkpointPeriod = 20;
+        writeRing(rec, dir.string(), opts);
+        const RingArchiveReader ring = RingArchiveReader::open(dir.string());
+        ASSERT_EQ(ring.segments().size(), archive.segments().size())
+            << label;
+
+        std::string prev_file;
+        for (std::size_t k = 0; k < archive.segments().size(); ++k) {
+            const SegmentInfo &in_dla = archive.segments()[k];
+            const SegmentInfo &in_ring = ring.segments()[k];
+            const std::string record = dla.substr(
+                static_cast<std::size_t>(in_dla.recordOffset),
+                static_cast<std::size_t>(in_dla.recordBytes));
+            char name[32];
+            std::snprintf(name, sizeof name, "seg-%012zu", k);
+            const std::string file = fileBytes(dir / name);
+            EXPECT_FALSE(in_dla.hasStartCheckpoint) << label << " " << k;
+            if (k == 0) {
+                EXPECT_EQ(record, file) << label;
+                prev_file = file;
+                continue;
+            }
+            ASSERT_TRUE(in_ring.hasStartCheckpoint) << label << " " << k;
+            // Magic, version and segment id.
+            EXPECT_EQ(record.substr(0, 24), file.substr(0, 24))
+                << label << " " << k;
+            // The ring's header names the start image (a present flag,
+            // then its raw size, stored size and CRC); the archive's
+            // says it is absent. Nothing else differs.
+            const std::string ring_header = recordHeader(file);
+            const std::string want = ring_header.substr(0, 24)
+                                     + std::string(8, '\0')
+                                     + ring_header.substr(56);
+            EXPECT_EQ(recordHeader(record), want) << label << " " << k;
+            // After the header: end image and payload, byte-identical.
+            const std::size_t dla_body =
+                48 + static_cast<std::size_t>(u64At(record, 32));
+            const std::size_t ring_start =
+                48 + static_cast<std::size_t>(u64At(file, 32));
+            const std::size_t start_bytes =
+                static_cast<std::size_t>(u64At(ring_header, 40));
+            EXPECT_EQ(record.substr(dla_body),
+                      file.substr(ring_start + start_bytes))
+                << label << " " << k;
+            // The start image the archive omits is the previous
+            // record's end image, byte for byte.
+            const std::size_t prev_payload = static_cast<std::size_t>(
+                ring.segments()[k - 1].payloadOffset);
+            EXPECT_EQ(file.substr(ring_start, start_bytes),
+                      prev_file.substr(prev_payload - start_bytes,
+                                       start_bytes))
+                << label << " " << k;
+            EXPECT_EQ(in_dla.compBytes, in_ring.compBytes);
+            EXPECT_EQ(in_dla.crc32, in_ring.crc32);
+            prev_file = file;
+        }
+        std::filesystem::remove_all(dir);
+    }
 }
 
 TEST(FormatFreeze, BloomOrderOnlyRecording)

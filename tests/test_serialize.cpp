@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <new>
 #include <sstream>
 
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
+#include "core/serialize_detail.hpp"
 
 namespace delorean
 {
@@ -119,6 +122,48 @@ TEST(Serialize, CheckpointsRoundTripAndReplay)
     const ReplayOutcome out =
         Replayer().replayInterval(copy, 0, w, 7);
     EXPECT_TRUE(out.deterministicExact);
+}
+
+TEST(Serialize, ContextImageIgnoresPadding)
+{
+    // Two contexts with equal fields, built over storage whose bytes
+    // (padding included) differ, must store the same image, and the
+    // image must load back to equal fields.
+    alignas(ThreadContext) unsigned char zeros[sizeof(ThreadContext)];
+    alignas(ThreadContext) unsigned char ones[sizeof(ThreadContext)];
+    std::memset(zeros, 0x00, sizeof zeros);
+    std::memset(ones, 0xff, sizeof ones);
+    ThreadContext *a = new (zeros) ThreadContext;
+    ThreadContext *b = new (ones) ThreadContext;
+    for (ThreadContext *ctx : {a, b}) {
+        ctx->proc = 3;
+        ctx->acc = 0x1234;
+        ctx->state = ThreadState::kCritical;
+        ctx->pendingLock = true;
+        ctx->pendingAccess.op = Op::kStore;
+        ctx->pendingAccess.addr = 0x40;
+        ctx->workPhase = 2;
+        ctx->mappedSegs.set(7);
+    }
+    std::ostringstream out_a(std::ios::binary);
+    std::ostringstream out_b(std::ios::binary);
+    serialize_detail::putContext(out_a, *a);
+    serialize_detail::putContext(out_b, *b);
+    EXPECT_EQ(out_a.str(), out_b.str());
+
+    std::istringstream in(out_b.str(), std::ios::binary);
+    const ThreadContext back = serialize_detail::getContext(in);
+    EXPECT_EQ(back.proc, 3u);
+    EXPECT_EQ(back.acc, 0x1234u);
+    EXPECT_EQ(back.state, ThreadState::kCritical);
+    EXPECT_TRUE(back.pendingLock);
+    EXPECT_EQ(back.pendingAccess.op, Op::kStore);
+    EXPECT_EQ(back.pendingAccess.addr, 0x40u);
+    EXPECT_EQ(back.workPhase, 2u);
+    EXPECT_TRUE(back.mappedSegs.test(7));
+    EXPECT_EQ(back.rng, a->rng);
+    a->~ThreadContext();
+    b->~ThreadContext();
 }
 
 TEST(Serialize, FileRoundTrip)

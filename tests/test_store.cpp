@@ -159,31 +159,17 @@ TEST(Store, FooterIndexMetadata)
     EXPECT_EQ(reader.machine().numProcs, 4u);
     EXPECT_EQ(reader.mode().mode, ExecMode::kOrderOnly);
 
-    // Segments = checkpoints + tail; boundaries ascending; the log
-    // bit positions (the hardware write pointers at each boundary)
-    // are monotone and end at the recording's true log sizes.
+    // Segments = checkpoints + tail; boundaries ascending.
     const auto &segs = reader.segments();
     ASSERT_EQ(segs.size(), rec.checkpoints.size() + 1);
     for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
         EXPECT_EQ(segs[i].endGcc, rec.checkpoints[i].gcc);
-        EXPECT_TRUE(segs[i].hasCheckpoint);
+        EXPECT_TRUE(segs[i].hasEndCheckpoint);
         EXPECT_EQ(reader.checkpointAt(i).gcc, rec.checkpoints[i].gcc);
     }
-    EXPECT_FALSE(segs.back().hasCheckpoint);
-    for (std::size_t i = 1; i < segs.size(); ++i) {
+    EXPECT_FALSE(segs.back().hasEndCheckpoint);
+    for (std::size_t i = 1; i < segs.size(); ++i)
         EXPECT_GE(segs[i].endGcc, segs[i - 1].endGcc);
-        EXPECT_GE(segs[i].piBitsEnd, segs[i - 1].piBitsEnd);
-        for (unsigned p = 0; p < 4; ++p)
-            EXPECT_GE(segs[i].csBitsEnd[p], segs[i - 1].csBitsEnd[p]);
-    }
-    EXPECT_EQ(segs.back().piBitsEnd, rec.pi.sizeBits());
-    std::uint64_t cs_bits = 0;
-    for (unsigned p = 0; p < 4; ++p)
-        cs_bits += segs.back().csBitsEnd[p];
-    std::uint64_t want_cs = 0;
-    for (const CsLog &log : rec.cs)
-        want_cs += log.sizeBits();
-    EXPECT_EQ(cs_bits, want_cs);
 }
 
 /**
@@ -366,6 +352,48 @@ TEST(Store, MissingArchiveFileIsTyped)
                 << e.what();
         }
     }
+}
+
+TEST(Store, Version2ArchiveRejected)
+{
+    // Version 2 kept checkpoints and the segment index in a footer;
+    // version 3 packs the ring's segment records. A version-2 file is
+    // refused up front with a typed header error on every load path.
+    Workload w("fft", 4, 9, WorkloadScale::tiny());
+    Recorder recorder(ModeConfig::orderOnly(), machine());
+    const Recording rec = recorder.record(w, 1, true, {}, 20);
+    std::vector<std::uint8_t> bytes = archiveBytes(rec);
+    ASSERT_GE(bytes.size(), 16u);
+    bytes[8] = 2; // the version word, little-endian
+    for (int i = 9; i < 16; ++i)
+        bytes[i] = 0;
+    const std::string path = testing::TempDir() + "store_v2.dla";
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+    const auto expect_rejected = [](const auto &open, const char *how) {
+        try {
+            open();
+            ADD_FAILURE() << how << ": opened a version-2 archive";
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.section(), ArchiveSection::kFileHeader) << how;
+            EXPECT_NE(std::string(e.what()).find(
+                          "unsupported archive version 2"),
+                      std::string::npos)
+                << how << ": " << e.what();
+        }
+    };
+    expect_rejected([&] { ArchiveReader::fromBytes(bytes); }, "bytes");
+    for (const bool mmap_reads : {true, false})
+        expect_rejected(
+            [&] {
+                ArchiveReader::fromFile(path,
+                                        ArchiveIoOptions{1, mmap_reads});
+            },
+            mmap_reads ? "mmap" : "buffered");
+    std::remove(path.c_str());
 }
 
 TEST(Store, StreamingWriterByteIdenticalAllModes)
@@ -606,16 +634,19 @@ class FailingBuf : public std::streambuf
 
 TEST(Store, StreamingWriterFlushFailurePoisonsWriter)
 {
-    // The stream takes the 16-byte file header (written on the
-    // recording thread) and then fails, so the first segment commit —
-    // on the background flusher — goes bad. That failure must come
+    // With a 300-byte budget the stream takes the 16-byte file header
+    // and the meta record (written on the recording thread; 243 bytes
+    // for this run) and then fails, so the first segment commit — on
+    // the background flusher — goes bad. With 64 bytes the meta record
+    // itself fails, on the recording thread. Either failure must come
     // back exactly once, typed, from the next onCheckpoint() or from
     // close(), and leave the writer closed: every later call is a
     // logic error.
+    for (const std::streamsize budget : {64, 300})
     for (const unsigned threads : {1u, 2u}) {
         Workload w("fft", 4, 9, WorkloadScale::tiny());
         Recorder recorder(ModeConfig::orderOnly(), machine());
-        FailingBuf buf(64);
+        FailingBuf buf(budget);
         std::ostream out(&buf);
         StreamingArchiveWriter writer(out,
                                       ArchiveIoOptions{threads, true});

@@ -228,55 +228,61 @@ checkpointIndexFor(const std::vector<std::uint64_t> &gccs,
     return std::nullopt;
 }
 
+/**
+ * Segment and checkpoint listing of either container, from the
+ * shared segment info: id, GCC interval, raw -> stored payload bytes
+ * and which checkpoint images the record stores.
+ */
+void
+listSegments(const SegmentArchiveReader &reader)
+{
+    for (const SegmentInfo &seg : reader.segments())
+        std::printf("  segment %llu: gcc (%llu, %llu], %llu -> %llu "
+                    "bytes%s%s%s\n",
+                    static_cast<unsigned long long>(seg.segId),
+                    static_cast<unsigned long long>(seg.startGcc),
+                    static_cast<unsigned long long>(seg.endGcc),
+                    static_cast<unsigned long long>(seg.rawBytes),
+                    static_cast<unsigned long long>(seg.compBytes),
+                    seg.hasStartCheckpoint ? ", start checkpoint" : "",
+                    seg.hasEndCheckpoint ? ", end checkpoint" : "",
+                    seg.isTail ? ", tail" : "");
+    const std::vector<std::uint64_t> gccs = reader.checkpointGccs();
+    for (std::size_t i = 0; i < gccs.size(); ++i)
+        std::printf("  checkpoint %zu: gcc %llu\n", i,
+                    static_cast<unsigned long long>(gccs[i]));
+}
+
 int
 doListCheckpoints(const std::string &path)
 {
     try {
+        std::optional<RingArchiveReader> ring;
+        std::optional<ArchiveReader> archive;
+        const SegmentArchiveReader *reader = nullptr;
+        std::string state;
         if (RingArchiveReader::looksLikeRing(path)) {
-            const RingArchiveReader ring =
-                RingArchiveReader::open(path, archive_io);
-            const RingRecoveryInfo &rc = ring.recovery();
-            std::printf("%s: ring, %s, %u procs, %zu segment(s), "
-                        "%zu checkpoint(s), %s%s\n",
-                        path.c_str(), ring.appName().c_str(),
-                        ring.machine().numProcs,
-                        ring.segments().size(),
-                        ring.checkpointCount(),
-                        rc.clean ? "cleanly closed" : "salvaged",
-                        rc.usedIndex ? ", index intact" : "");
-            for (const std::string &note : rc.notes)
-                std::printf("  salvage: %s\n", note.c_str());
-            const std::vector<std::uint64_t> gccs =
-                ring.checkpointGccs();
-            for (std::size_t i = 0; i < gccs.size(); ++i)
-                std::printf("  checkpoint %zu: gcc %llu\n", i,
-                            static_cast<unsigned long long>(gccs[i]));
-            return 0;
+            reader = &ring.emplace(RingArchiveReader::open(path, archive_io));
+            const RingRecoveryInfo &rc = ring->recovery();
+            state = std::string(", ")
+                    + (rc.clean ? "cleanly closed" : "salvaged")
+                    + (rc.usedIndex ? ", index intact" : "");
+        } else if (ArchiveReader::fileLooksLikeArchive(path)) {
+            reader = &archive.emplace(
+                ArchiveReader::fromFile(path, archive_io));
         }
-        if (ArchiveReader::fileLooksLikeArchive(path)) {
-            const ArchiveReader reader = ArchiveReader::fromFile(path, archive_io);
-            std::printf("%s: archive, %s, %u procs, %zu segment(s), "
-                        "%zu checkpoint(s)\n",
-                        path.c_str(), reader.appName().c_str(),
-                        reader.machine().numProcs,
-                        reader.segments().size(),
-                        reader.checkpointCount());
-            for (std::size_t i = 0; i < reader.segments().size();
-                 ++i) {
-                const ArchiveSegmentInfo &seg = reader.segments()[i];
-                std::printf("  segment %zu: gcc <= %llu, %llu -> %llu "
-                            "bytes%s\n",
-                            i,
-                            static_cast<unsigned long long>(
-                                seg.endGcc),
-                            static_cast<unsigned long long>(
-                                seg.rawBytes),
-                            static_cast<unsigned long long>(
-                                seg.compBytes),
-                            seg.hasCheckpoint
-                                ? ", checkpoint at end"
-                                : " (tail)");
-            }
+        if (reader) {
+            std::printf("%s: %s, %s, %u procs, %zu segment(s), "
+                        "%zu checkpoint(s)%s\n",
+                        path.c_str(), ring ? "ring" : "archive",
+                        reader->appName().c_str(),
+                        reader->machine().numProcs,
+                        reader->segments().size(),
+                        reader->checkpointCount(), state.c_str());
+            if (ring)
+                for (const std::string &note : ring->recovery().notes)
+                    std::printf("  salvage: %s\n", note.c_str());
+            listSegments(*reader);
             return 0;
         }
         const Recording rec = loadRecordingFile(path);

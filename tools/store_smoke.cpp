@@ -5,7 +5,7 @@
  * it runs the full durable-storage loop:
  *
  *   record (with periodic checkpoints) -> archive -> sniff + parse ->
- *   seek (footer index sanity) -> readAll byte-identity ->
+ *   seek (index sanity) -> readAll byte-identity ->
  *   interval replay from every checkpoint -> fingerprint check,
  *
  * plus one bounded interval I(ckpt[0], ckpt[2]) and one corrupted
@@ -82,9 +82,9 @@ smokeMode(const char *name, const ModeConfig &mode)
 
     const ArchiveReader reader = ArchiveReader::fromBytes(bytes);
 
-    // Seek: the footer index must expose every checkpoint, ascending.
+    // Seek: the index must expose every checkpoint, ascending.
     if (reader.checkpointCount() != rec.checkpoints.size())
-        return fail(name, "footer index lost checkpoints");
+        return fail(name, "index lost checkpoints");
     const std::vector<std::uint64_t> gccs = reader.checkpointGccs();
     for (std::size_t i = 0; i < gccs.size(); ++i)
         if (gccs[i] != rec.checkpoints[i].gcc
@@ -125,7 +125,7 @@ smokeMode(const char *name, const ModeConfig &mode)
     // Integrity: a payload flip must be a typed segment error.
     std::vector<std::uint8_t> corrupt = bytes;
     const std::size_t seg0_payload =
-        static_cast<std::size_t>(reader.segments()[0].fileOffset) + 40;
+        static_cast<std::size_t>(reader.segments()[0].payloadOffset);
     corrupt[seg0_payload] ^= 0x01;
     try {
         ArchiveReader::fromBytes(corrupt).readAll();
