@@ -25,6 +25,12 @@
  * byte-identical fingerprints — the exit status reflects that
  * invariant, not the speedup.
  *
+ * Recording and the total-order checks run as a campaign,
+ * DELOREAN_JOBS wide. The two timed legs (serial and partial-order
+ * parallel) run afterwards, one cell at a time on the main thread, so
+ * the parallel replayer gets its whole width from the executor and
+ * neither leg shares the host with the campaign.
+ *
  * Output: stdout table plus BENCH_arbiter.json (path override:
  * DELOREAN_ARBITER_JSON).
  */
@@ -67,6 +73,7 @@ struct Cell
     std::uint64_t poRelaxedRetires = 0;
     double serialThroughput = 0;   // retired instrs / wall second
     double parallelThroughput = 0; // ditto, chunk-parallel replayer
+    ExecutionFingerprint totalOrderFingerprint;
     bool fingerprintsIdentical = false;
 
     double
@@ -108,25 +115,34 @@ main()
            "to total-order replay everywhere");
 
     const unsigned scale = benchScale(10);
-    const unsigned jobs = std::max(4u, campaignJobs());
+    const unsigned jobs = std::max(4u, defaultJobs());
     const std::vector<std::string> &apps = AppTable::splash2Names();
+
+    const auto job_for = [scale](const std::string &app,
+                                 const GridPoint &g) {
+        RecordJob job;
+        job.app = app;
+        job.workloadSeed = kSeed;
+        job.scalePercent = scale;
+        job.machine.numProcs = g.cores;
+        job.machine.bulk.numArbiters = g.shards;
+        job.mode = ModeConfig::orderOnly();
+        return job;
+    };
+    const auto parallel_options = [jobs](const GridPoint &g) {
+        ParallelReplayOptions popts;
+        popts.window = std::max(8u, g.cores / 2);
+        popts.jobs = jobs;
+        return popts;
+    };
 
     BenchCampaign campaign("arbiter_scaling");
     std::vector<std::function<std::vector<Cell>()>> tasks;
     for (const std::string &app : apps) {
-        tasks.push_back([&campaign, app, scale, jobs]() {
+        tasks.push_back([&campaign, &job_for, &parallel_options, app]() {
             std::vector<Cell> row;
             for (const GridPoint &g : kGrid) {
-                RecordJob job;
-                job.app = app;
-                job.workloadSeed = kSeed;
-                job.scalePercent = scale;
-                job.machine.numProcs = g.cores;
-                job.machine.bulk.numArbiters = g.shards;
-                job.mode = ModeConfig::orderOnly();
-                const Recording &rec = campaign.record(job);
-
-                Workload w(app, g.cores, kSeed, WorkloadScale{scale});
+                const Recording &rec = campaign.record(job_for(app, g));
                 Cell cell;
                 cell.recordCycles =
                     static_cast<double>(rec.stats.totalCycles);
@@ -134,52 +150,60 @@ main()
                 cell.shardLocalCommits = rec.stats.shardLocalCommits;
                 cell.crossShardCommits = rec.stats.crossShardCommits;
 
-                Replayer replayer;
-                const ReplayOutcome serial =
-                    replayer.replay(rec, w, /*env_seed=*/77);
-                campaign.account(serial.stats);
-                cell.serialThroughput = throughput(serial.stats);
-
                 ReplayCheckOptions topts;
                 topts.honorPartialOrder = false;
                 const ReplayCheckResult total = checkedReplay(rec, topts);
                 campaign.account(total.outcome.stats);
 
-                const unsigned window = std::max(8u, g.cores / 2);
-                ParallelReplayOptions popts;
-                popts.window = window;
-                popts.jobs = jobs;
-                const ParallelReplayer parallel(popts);
-                ReplayOutcome par;
-                for (unsigned rep = 0; rep < kParallelReps; ++rep) {
-                    par = parallel.replay(rec, w);
-                    campaign.addSim(0, par.stats.executedInstrs);
-                    cell.parallelThroughput = std::max(
-                        cell.parallelThroughput, throughput(par.stats));
-                }
-                cell.poRelaxedRetires = par.stats.poRelaxedRetires;
-
-                ParallelReplayOptions tpopts = popts;
+                ParallelReplayOptions tpopts = parallel_options(g);
                 tpopts.honorPartialOrder = false;
                 const ReplayCheckResult ptotal =
                     checkedParallelReplay(rec, tpopts);
                 campaign.addSim(0, ptotal.outcome.stats.executedInstrs);
 
+                cell.totalOrderFingerprint = total.outcome.fingerprint;
                 cell.fingerprintsIdentical =
-                    serial.deterministicExact && par.deterministicExact
-                    && total.ok && ptotal.ok
-                    && total.outcome.fingerprint.matchesExact(
-                        serial.fingerprint)
-                    && par.fingerprint.matchesExact(serial.fingerprint)
+                    total.ok && ptotal.ok
                     && ptotal.outcome.fingerprint.matchesExact(
-                        serial.fingerprint);
-                row.push_back(cell);
+                        total.outcome.fingerprint);
+                row.push_back(std::move(cell));
             }
             return row;
         });
     }
-    const std::vector<std::vector<Cell>> rows =
-        campaign.map(std::move(tasks));
+    std::vector<std::vector<Cell>> rows = campaign.map(std::move(tasks));
+
+    // The timed legs, one cell at a time.
+    for (std::size_t ai = 0; ai < apps.size(); ++ai) {
+        for (std::size_t gi = 0; gi < std::size(kGrid); ++gi) {
+            const GridPoint &g = kGrid[gi];
+            Cell &cell = rows[ai][gi];
+            const Recording &rec = campaign.record(job_for(apps[ai], g));
+            Workload w(apps[ai], g.cores, kSeed, WorkloadScale{scale});
+
+            const ReplayOutcome serial =
+                Replayer().replay(rec, w, /*env_seed=*/77);
+            campaign.account(serial.stats);
+            cell.serialThroughput = throughput(serial.stats);
+
+            const ParallelReplayer parallel(parallel_options(g));
+            ReplayOutcome par;
+            for (unsigned rep = 0; rep < kParallelReps; ++rep) {
+                par = parallel.replay(rec, w);
+                campaign.addSim(0, par.stats.executedInstrs);
+                cell.parallelThroughput = std::max(
+                    cell.parallelThroughput, throughput(par.stats));
+            }
+            cell.poRelaxedRetires = par.stats.poRelaxedRetires;
+
+            cell.fingerprintsIdentical =
+                cell.fingerprintsIdentical && serial.deterministicExact
+                && par.deterministicExact
+                && serial.fingerprint.matchesExact(
+                    cell.totalOrderFingerprint)
+                && par.fingerprint.matchesExact(serial.fingerprint);
+        }
+    }
 
     std::printf("%-10s | %5s %6s | %6s | %6s | %8s | %9s | %s\n", "app",
                 "cores", "shards", "stall", "xshard", "po-relax",

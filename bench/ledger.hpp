@@ -36,7 +36,7 @@ class JsonLedger
     explicit JsonLedger(std::string harness)
         : harness_(std::move(harness))
     {
-        out_ = "{";
+        out_.push_back('{');
         first_.push_back(true);
         field("harness", harness_);
     }

@@ -101,7 +101,7 @@ main()
 
     const unsigned scale = benchScale(20);
     const MachineConfig machine;
-    const unsigned jobs = std::max(4u, campaignJobs());
+    const unsigned jobs = std::max(4u, defaultJobs());
 
     std::vector<std::string> apps = AppTable::splash2Names();
     const std::size_t race_free_count = apps.size();

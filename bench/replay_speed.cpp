@@ -22,6 +22,13 @@
  * byte-identical fingerprints and interval fingerprints — the exit
  * status reflects that invariant, not the speedup.
  *
+ * Recording and the windowed replays run as a campaign, DELOREAN_JOBS
+ * wide. The two timed legs (serial and parallel) run afterwards, one
+ * cell at a time on the main thread: the parallel replayer then gets
+ * its whole width from the executor instead of running inline inside
+ * a busy campaign task, and neither leg shares the host with the
+ * campaign.
+ *
  * Output: stdout table (byte-identical at any DELOREAN_JOBS) plus
  * BENCH_replay.json (path override: DELOREAN_REPLAY_JSON).
  */
@@ -58,6 +65,7 @@ struct Cell
     std::uint64_t strataRelaxedRetires = 0;
     double serialThroughput = 0;   // retired instrs / wall second
     double parallelThroughput = 0; // ditto, chunk-parallel replayer
+    ExecutionFingerprint windowedFingerprint;
     bool fingerprintsIdentical = false;
 
     /** Replay-cycles / record-cycles (1.0 = replay as fast). */
@@ -117,7 +125,7 @@ main()
 
     const unsigned scale = benchScale(25);
     const MachineConfig machine;
-    const unsigned jobs = std::max(4u, campaignJobs());
+    const unsigned jobs = std::max(4u, defaultJobs());
 
     const ModeRow modes[] = {
         {"order-and-size", ModeConfig::orderAndSize()},
@@ -126,36 +134,31 @@ main()
     };
     const std::vector<std::string> &apps = AppTable::splash2Names();
 
+    const auto job_for = [&](const std::string &app, const ModeRow &m) {
+        RecordJob job;
+        job.app = app;
+        job.workloadSeed = kSeed;
+        job.scalePercent = scale;
+        job.machine = machine;
+        job.mode = m.mode;
+        return job;
+    };
+
     BenchCampaign campaign("replay_speed");
     std::vector<std::function<std::vector<Cell>()>> tasks;
     for (const std::string &app : apps) {
-        tasks.push_back([&campaign, &machine, &modes, app, scale,
-                         jobs]() {
+        tasks.push_back([&campaign, &machine, &modes, &job_for, app,
+                         scale]() {
             std::vector<Cell> row;
             for (const ModeRow &m : modes) {
-                RecordJob job;
-                job.app = app;
-                job.workloadSeed = kSeed;
-                job.scalePercent = scale;
-                job.machine = machine;
-                job.mode = m.mode;
-                const Recording &rec = campaign.record(job);
-
+                const Recording &rec = campaign.record(job_for(app, m));
                 Workload w(app, machine.numProcs, kSeed,
                            WorkloadScale{scale});
                 Cell cell;
                 cell.recordCycles =
                     static_cast<double>(rec.stats.totalCycles);
 
-                Replayer replayer;
-                const ReplayOutcome serial =
-                    replayer.replay(rec, w, /*env_seed=*/77);
-                campaign.account(serial.stats);
-                cell.serialReplayCycles =
-                    static_cast<double>(serial.stats.totalCycles);
-                cell.serialThroughput = throughput(serial.stats);
-
-                const ReplayOutcome windowed = replayer.replay(
+                const ReplayOutcome windowed = Replayer().replay(
                     rec, w, /*env_seed=*/77, {}, kWindow);
                 campaign.account(windowed.stats);
                 cell.windowedReplayCycles =
@@ -166,34 +169,52 @@ main()
                     windowed.stats.replayHeadStallCycles;
                 cell.strataRelaxedRetires =
                     windowed.stats.strataRelaxedRetires;
-
-                ParallelReplayOptions popts;
-                popts.window = kWindow;
-                popts.jobs = jobs;
-                const ParallelReplayer parallel(popts);
-                ReplayOutcome par;
-                for (unsigned rep = 0; rep < kParallelReps; ++rep) {
-                    par = parallel.replay(rec, w);
-                    campaign.addSim(0, par.stats.executedInstrs);
-                    cell.parallelThroughput = std::max(
-                        cell.parallelThroughput, throughput(par.stats));
-                }
-
-                cell.fingerprintsIdentical =
-                    serial.deterministicExact
-                    && windowed.deterministicExact
-                    && par.deterministicExact
-                    && identicalFingerprints(serial.fingerprint,
-                                             windowed.fingerprint)
-                    && identicalFingerprints(serial.fingerprint,
-                                             par.fingerprint);
-                row.push_back(cell);
+                cell.windowedFingerprint = windowed.fingerprint;
+                cell.fingerprintsIdentical = windowed.deterministicExact;
+                row.push_back(std::move(cell));
             }
             return row;
         });
     }
-    const std::vector<std::vector<Cell>> rows =
-        campaign.map(std::move(tasks));
+    std::vector<std::vector<Cell>> rows = campaign.map(std::move(tasks));
+
+    // The timed legs, one cell at a time.
+    for (std::size_t ai = 0; ai < apps.size(); ++ai) {
+        for (std::size_t mi = 0; mi < std::size(modes); ++mi) {
+            Cell &cell = rows[ai][mi];
+            const Recording &rec =
+                campaign.record(job_for(apps[ai], modes[mi]));
+            Workload w(apps[ai], machine.numProcs, kSeed,
+                       WorkloadScale{scale});
+
+            const ReplayOutcome serial =
+                Replayer().replay(rec, w, /*env_seed=*/77);
+            campaign.account(serial.stats);
+            cell.serialReplayCycles =
+                static_cast<double>(serial.stats.totalCycles);
+            cell.serialThroughput = throughput(serial.stats);
+
+            ParallelReplayOptions popts;
+            popts.window = kWindow;
+            popts.jobs = jobs;
+            const ParallelReplayer parallel(popts);
+            ReplayOutcome par;
+            for (unsigned rep = 0; rep < kParallelReps; ++rep) {
+                par = parallel.replay(rec, w);
+                campaign.addSim(0, par.stats.executedInstrs);
+                cell.parallelThroughput = std::max(
+                    cell.parallelThroughput, throughput(par.stats));
+            }
+
+            cell.fingerprintsIdentical =
+                cell.fingerprintsIdentical && serial.deterministicExact
+                && par.deterministicExact
+                && identicalFingerprints(serial.fingerprint,
+                                         cell.windowedFingerprint)
+                && identicalFingerprints(serial.fingerprint,
+                                         par.fingerprint);
+        }
+    }
 
     std::printf("%-10s | %-15s | %7s %7s | %6s | %9s | %s\n", "app",
                 "mode", "ser-r", "win-r", "occ", "speedup", "fp");

@@ -33,13 +33,6 @@ enum class ChunkEnd : std::uint8_t
     kCsLogForced,   ///< replay: truncated because the CS log says so
 };
 
-/** True for the truncation causes that must be logged (Section 4.2.3). */
-constexpr bool
-isNonDeterministicEnd(ChunkEnd end)
-{
-    return end == ChunkEnd::kCacheOverflow || end == ChunkEnd::kCollision;
-}
-
 /** Lifecycle of an in-flight chunk. */
 enum class ChunkState : std::uint8_t
 {
@@ -107,16 +100,6 @@ struct Chunk
         finishTime = 0;
         squashCount = 0;
         writtenLines.clear();
-    }
-
-    /** Fingerprint contribution of the committed chunk. */
-    std::uint64_t
-    contentHash() const
-    {
-        std::uint64_t h = endCtx.acc;
-        h = mix64(h ^ size);
-        h = mix64(h ^ (static_cast<std::uint64_t>(proc) << 48 ^ seq));
-        return h;
     }
 
     /** Forward a same-chunk buffered store, if any. */

@@ -96,13 +96,6 @@ class Xoshiro256ss
         return below(1000) < per_mille;
     }
 
-    /** Bernoulli draw with probability num/den. */
-    bool
-    chance(std::uint64_t num, std::uint64_t den)
-    {
-        return below(den) < num;
-    }
-
     /** Uniform double in [0, 1). */
     double
     uniform()

@@ -178,14 +178,6 @@ class PartialOrderCursor
     /** True when @p proc's next entry is enabled (may commit now). */
     bool procReady(ProcId proc) const;
 
-    /** Entry index of @p proc's next entry (requires procHasEntries). */
-    std::size_t
-    procHeadEntry(ProcId proc) const
-    {
-        const unsigned q = queueOf(proc);
-        return proc_queue_[q][proc_head_[q]];
-    }
-
     /** True when the DMA pseudo-processor's next entry is enabled. */
     bool dmaReady() const { return procReady(kDmaProcId); }
 

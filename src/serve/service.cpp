@@ -1,14 +1,15 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <istream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
+#include "common/executor.hpp"
 #include "core/recorder.hpp"
 #include "validate/replay_check.hpp"
 
@@ -60,59 +62,6 @@ appendEscaped(std::string &out, const std::string &s)
         out += c;
     }
 }
-
-/**
- * Counting-semaphore admission gate. Workers acquire a slot before
- * touching any session resources and release it when the session
- * completes; the high-water mark is reported for observability.
- */
-class Gate
-{
-  public:
-    explicit Gate(unsigned capacity) : capacity_(capacity) {}
-
-    void
-    acquire()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return inflight_ < capacity_; });
-        ++inflight_;
-        peak_ = std::max(peak_, inflight_);
-    }
-
-    void
-    release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --inflight_;
-        }
-        cv_.notify_one();
-    }
-
-    unsigned
-    peak()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return peak_;
-    }
-
-  private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    unsigned capacity_;
-    unsigned inflight_ = 0;
-    unsigned peak_ = 0;
-};
-
-struct GateHold
-{
-    explicit GateHold(Gate &gate) : gate_(gate) { gate_.acquire(); }
-    ~GateHold() { gate_.release(); }
-    GateHold(const GateHold &) = delete;
-    GateHold &operator=(const GateHold &) = delete;
-    Gate &gate_;
-};
 
 } // namespace
 
@@ -168,12 +117,20 @@ parseServeJob(const std::string &line, ServeJob &job, std::string &error)
         }
         const std::string key = tok.substr(0, eq);
         const std::string value = tok.substr(eq + 1);
-        const auto number = [&](std::uint64_t &out_v) {
+        constexpr std::uint64_t kUnsigned =
+            std::numeric_limits<unsigned>::max();
+        const auto number = [&](std::uint64_t &out_v,
+                                std::uint64_t max = ~std::uint64_t{0}) {
             char *end = nullptr;
             const unsigned long long v =
                 std::strtoull(value.c_str(), &end, 10);
             if (end == value.c_str() || *end != '\0') {
                 error = "field " + key + " needs a number, got \""
+                        + value + "\"";
+                return false;
+            }
+            if (v > max) { // a field held as unsigned must fit one
+                error = "field " + key + " out of range, got \""
                         + value + "\"";
                 return false;
             }
@@ -189,18 +146,18 @@ parseServeJob(const std::string &line, ServeJob &job, std::string &error)
                 return false;
             parsed.record.workloadSeed = v;
         } else if (key == "scale") {
-            if (!number(v))
+            if (!number(v, kUnsigned))
                 return false;
             parsed.record.scalePercent = static_cast<unsigned>(v);
         } else if (key == "procs") {
-            if (!number(v))
+            if (!number(v, kUnsigned))
                 return false;
             parsed.record.machine.numProcs =
                 static_cast<unsigned>(v);
         } else if (key == "mode") {
             mode_name = value;
         } else if (key == "strat") {
-            if (!number(v))
+            if (!number(v, kUnsigned))
                 return false;
             strat = static_cast<unsigned>(v);
         } else if (key == "env") {
@@ -212,7 +169,7 @@ parseServeJob(const std::string &line, ServeJob &job, std::string &error)
                 return false;
             parsed.replayEnvSeed = v;
         } else if (key == "window") {
-            if (!number(v))
+            if (!number(v, kUnsigned))
                 return false;
             parsed.replayWindow = static_cast<unsigned>(v);
         } else {
@@ -377,7 +334,7 @@ ServeReport
 ServeService::run(const std::vector<ServeJob> &jobs)
 {
     const auto start = std::chrono::steady_clock::now();
-    const unsigned width = opts_.jobs ? opts_.jobs : campaignJobs();
+    const unsigned width = opts_.jobs ? opts_.jobs : defaultJobs();
     const unsigned inflight =
         opts_.maxInflight ? opts_.maxInflight : width;
 
@@ -395,7 +352,8 @@ ServeService::run(const std::vector<ServeJob> &jobs)
     report.maxInflight = inflight;
 
     RecordingCache cache;
-    Gate gate(inflight);
+    std::atomic<unsigned> now_inflight{0};
+    std::atomic<unsigned> peak_inflight{0};
     std::mutex info_mu; // guards infos + progress stream
     std::map<std::string, ServeRecordingInfo> infos;
     std::size_t completed = 0;
@@ -572,18 +530,23 @@ ServeService::run(const std::vector<ServeJob> &jobs)
         }
     };
 
-    // Fair dispatch: the pool claims tasks in vector order, so
-    // ordering the vector round-robin-by-class IS the schedule.
+    // Fair dispatch: the executor claims tasks in vector order, so
+    // ordering the vector round-robin-by-class IS the schedule. The
+    // batch width is the admission bound.
     const std::vector<std::size_t> order = serveDispatchOrder(jobs);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(order.size());
     for (const std::size_t idx : order)
-        tasks.push_back([&run_session, &gate, idx] {
-            GateHold hold(gate);
+        tasks.push_back([&, idx] {
+            const unsigned now = ++now_inflight;
+            unsigned peak = peak_inflight.load();
+            while (now > peak
+                   && !peak_inflight.compare_exchange_weak(peak, now)) {
+            }
             run_session(idx);
+            --now_inflight;
         });
-    WorkerPool pool(width);
-    pool.runBatch(tasks);
+    Executor::run(tasks, std::min(width, inflight));
 
     for (auto &entry : infos) {
         entry.second.key = entry.first;
@@ -591,7 +554,7 @@ ServeService::run(const std::vector<ServeJob> &jobs)
     }
     report.cacheHits = cache.hits();
     report.cacheMisses = cache.misses();
-    report.peakInflight = gate.peak();
+    report.peakInflight = peak_inflight.load();
     report.wallSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();

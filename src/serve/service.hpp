@@ -6,7 +6,7 @@
  * by a RecordJob: record it (and stream its archive to disk while the
  * simulation still runs), replay it, or run a checked validation
  * replay. The service multiplexes many heterogeneous sessions over
- * one WorkerPool:
+ * the process-wide executor:
  *
  *  - **Content-addressed dedupe.** Every session resolves its initial
  *    execution through a RecordingCache keyed on the full RecordJob,
@@ -29,8 +29,8 @@
  *  - **Fair scheduling.** Sessions dispatch in round-robin order
  *    across the three session classes, FIFO within each class, so a
  *    burst of record jobs cannot starve queued validations.
- *  - **Admission control.** At most maxInflight sessions hold
- *    resources concurrently; excess workers block at the gate.
+ *  - **Admission control.** At most maxInflight sessions run
+ *    concurrently: the session batch is min(jobs, maxInflight) wide.
  *  - **Deterministic ledger.** The final JSON ledger (sessions in
  *    submission order, recordings keyed and sorted by cache key) is
  *    byte-identical at any worker count; wall-clock throughput lives
@@ -45,7 +45,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/campaign.hpp"
+#include "sim/recording_cache.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
 
@@ -104,11 +104,11 @@ serveDispatchOrder(const std::vector<ServeJob> &jobs);
 /** Service knobs. */
 struct ServeOptions
 {
-    /// Worker-pool width; 0 uses campaignJobs() (DELOREAN_JOBS).
+    /// Executor batch width; 0 uses defaultJobs() (DELOREAN_JOBS).
     unsigned jobs = 0;
 
-    /// Admission bound: sessions concurrently past the gate; 0 means
-    /// "as wide as the pool" (the gate never binds).
+    /// Admission bound: sessions running concurrently; 0 means
+    /// "as wide as jobs".
     unsigned maxInflight = 0;
 
     /// Directory for streamed .dla archives (created if missing);
@@ -184,9 +184,9 @@ struct ServeReport
     std::vector<ServeRecordingInfo> recordings; ///< sorted by key
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
-    unsigned jobs = 1;         ///< pool width used
+    unsigned jobs = 1;         ///< executor width used
     unsigned maxInflight = 0;  ///< admission bound used
-    unsigned peakInflight = 0; ///< high-water sessions past the gate
+    unsigned peakInflight = 0; ///< high-water sessions running at once
     double wallSeconds = 0.0;
 
     std::uint64_t okCount() const;

@@ -44,15 +44,6 @@ struct InterleavedResult
     std::uint64_t l1Hits = 0;
     std::uint64_t l2Hits = 0;
     std::uint64_t memHits = 0;
-
-    /** Instructions per cycle across the whole machine. */
-    double
-    ipc() const
-    {
-        return cycles ? static_cast<double>(totalInstrs)
-                            / static_cast<double>(cycles)
-                      : 0.0;
-    }
 };
 
 /** RC / SC baseline machine. */

@@ -10,11 +10,11 @@
 #include <vector>
 
 #include "common/errors.hpp"
+#include "common/executor.hpp"
 #include "core/pi_log.hpp"
 #include "core/replay_observer.hpp"
 #include "core/stratifier.hpp"
 #include "memory/memory_state.hpp"
-#include "sim/campaign.hpp"
 #include "trace/instr.hpp"
 #include "trace/thread_program.hpp"
 
@@ -249,7 +249,6 @@ ParallelReplayer::replay(const Recording &rec,
         strata_order = std::make_unique<StrataCanonicalOrder>(
             computeStrataCanonicalOrder(rec.strata, n));
 
-    WorkerPool pool(opts_.jobs);
     std::atomic<std::uint64_t> executed{0};
     EngineStats stats;
     ExecutionFingerprint fp;
@@ -565,7 +564,7 @@ ParallelReplayer::replay(const Recording &rec,
                                 executed, budget, tracing);
                 });
             }
-            pool.runBatch(tasks);
+            Executor::run(tasks, opts_.jobs);
             stats.replayWindowOccupancy.add(
                 static_cast<double>(inflight));
         }

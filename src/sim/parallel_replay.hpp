@@ -10,7 +10,7 @@
  * (caches, directory, arbiter timing) and replays architecturally: a
  * lookahead window dispatches the next W chunk bodies — one per
  * processor, respecting per-processor program order — onto the
- * campaign WorkerPool, where they execute optimistically against the
+ * process-wide executor, where they execute optimistically against the
  * committed memory image. A serial retire pass then commits them
  * strictly in logged order (PI log for Order&Size/OrderOnly, the
  * predefined round-robin for PicoLog, per-stratum budgets for
@@ -45,7 +45,7 @@ struct ParallelReplayOptions
     /// Lookahead window: maximum chunk bodies in flight per wave (one
     /// per processor). 1 executes bodies one at a time.
     unsigned window = 8;
-    /// WorkerPool width; 0 uses campaignJobs() (DELOREAN_JOBS).
+    /// Executor batch width; 0 uses defaultJobs() (DELOREAN_JOBS).
     unsigned jobs = 0;
     /// Executed-instruction budget; 0 derives one from the recording
     /// so a corrupted log fails with ReplayBudgetExceeded promptly.

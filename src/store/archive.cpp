@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/serialize_detail.hpp"
-#include "sim/campaign.hpp"
 #include "store/archive_detail.hpp"
 
 namespace delorean
@@ -27,20 +26,6 @@ constexpr std::size_t kTrailerBytes = 16;
 } // namespace
 
 using namespace archive_detail;
-
-// ----- options --------------------------------------------------------------
-
-unsigned
-defaultArchiveIoThreads()
-{
-    return campaignJobs();
-}
-
-unsigned
-ArchiveIoOptions::resolvedIoThreads() const
-{
-    return ioThreads ? ioThreads : defaultArchiveIoThreads();
-}
 
 // ----- errors ---------------------------------------------------------------
 

@@ -53,38 +53,27 @@
 namespace delorean
 {
 
-class WorkerPool;
-
 /**
  * Data-plane knobs for archive I/O.
  *
  * Segments are independent by construction, so their LZ77
  * compression (writer) and CRC-check + decompression + parse
- * (reader) fan out over a WorkerPool; commit order is always segment
- * order, so container bytes and reassembled recordings are identical
- * at any thread count. mmapReads selects the zero-copy read path for
- * file-backed readers: the container is mapped once and payloads are
- * decoded straight out of the mapping, falling back to buffered
- * reads when mapping fails or the platform has no mmap.
+ * (reader) fan out over the process-wide executor; commit order is
+ * always segment order, so container bytes and reassembled
+ * recordings are identical at any thread count. mmapReads selects
+ * the zero-copy read path for file-backed readers: the container is
+ * mapped once and payloads are decoded straight out of the mapping,
+ * falling back to buffered reads when mapping fails or the platform
+ * has no mmap.
  */
 struct ArchiveIoOptions
 {
-    /// Codec worker count; 0 resolves to defaultArchiveIoThreads().
+    /// Codec batch width; 0 uses defaultJobs() (DELOREAN_JOBS).
     unsigned ioThreads = 0;
 
     /// File-backed readers try mmap first (ignored by fromBytes).
     bool mmapReads = true;
-
-    /** ioThreads with the 0-default resolved. */
-    unsigned resolvedIoThreads() const;
 };
-
-/**
- * Default codec worker count: the DELOREAN_JOBS environment variable
- * if set to a positive integer, otherwise the host's hardware
- * concurrency (at least 1) — the same resolution campaigns use.
- */
-unsigned defaultArchiveIoThreads();
 
 /** Structural region of an archive file an error can point at. */
 enum class ArchiveSection
@@ -198,10 +187,11 @@ class ArchiveWriteError : public DeloreanError
  * every not-yet-streamed checkpoint, cuts the covered segments, and
  * *stages* them — the payload slice is serialized synchronously (the
  * recording's logs keep growing after the hook returns), while
- * compression, CRC and the file write happen on a background flusher
- * thread that fans the codec work over a WorkerPool. Staging is
- * double-buffered: while one batch compresses and writes, the next
- * accumulates, and the recording thread never blocks on the codec.
+ * compression, CRC and the file write happen in a flush task posted
+ * to the executor, which fans the codec work out as a nested batch
+ * of ioThreads width. Staging is double-buffered: while one batch
+ * compresses and writes, the next accumulates, and the recording
+ * thread never blocks on the codec.
  * close() streams any remaining checkpoints, cuts the tail segment,
  * drains the flusher, and writes the index record and trailer. The
  * ring (store/ring) runs the same segment pipeline and writes the
@@ -355,12 +345,11 @@ class SegmentArchiveReader
                            std::size_t to = kToEnd) const;
 
   protected:
-    SegmentArchiveReader();
-    // Out of line: the codec pool and the parsed-record type are only
-    // forward-declared here.
-    SegmentArchiveReader(SegmentArchiveReader &&) noexcept;
-    SegmentArchiveReader &operator=(SegmentArchiveReader &&) noexcept;
-    virtual ~SegmentArchiveReader();
+    SegmentArchiveReader() = default;
+    SegmentArchiveReader(SegmentArchiveReader &&) noexcept = default;
+    SegmentArchiveReader &
+    operator=(SegmentArchiveReader &&) noexcept = default;
+    virtual ~SegmentArchiveReader() = default;
 
     /**
      * Stored bytes [offset, offset + bytes) of segment @p pos's file:
@@ -388,7 +377,6 @@ class SegmentArchiveReader
 
   private:
     std::vector<std::uint8_t> payload(std::size_t pos) const;
-    WorkerPool &ioPool() const;
 
     std::vector<SegmentInfo> segments_;
     /// One per boundary that has one, ascending; ckpt_boundary_[i] is
@@ -397,8 +385,6 @@ class SegmentArchiveReader
     std::vector<std::size_t> ckpt_boundary_;
     archive_detail::FinalStats final_; ///< zeros unless clean_
     bool clean_ = false;
-    /// Lazily constructed; reused across reads on one reader.
-    mutable std::unique_ptr<WorkerPool> pool_;
 };
 
 /**

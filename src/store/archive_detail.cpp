@@ -1,6 +1,7 @@
 #include "store/archive_detail.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -295,33 +296,6 @@ parseSegmentPayload(const std::vector<std::uint8_t> &raw, unsigned n)
         s.commits.push_back(c);
     }
     return s;
-}
-
-/**
- * Run @p tasks over a pool, collecting each task's exception (if any)
- * by index; the caller decides rethrow order. Task results land in
- * caller-owned index-keyed slots, so outcomes are independent of the
- * worker count — the parallel-codec analogue of the campaign runner's
- * determinism rule.
- */
-void
-runIndexed(WorkerPool &pool,
-           std::vector<std::function<void()>> tasks,
-           std::vector<std::exception_ptr> &errors)
-{
-    errors.assign(tasks.size(), nullptr);
-    std::vector<std::function<void()>> wrapped;
-    wrapped.reserve(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        wrapped.push_back([&tasks, &errors, i] {
-            try {
-                tasks[i]();
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-    }
-    pool.runBatch(wrapped);
 }
 
 } // namespace
@@ -623,12 +597,6 @@ SegmentPipeline::SegmentPipeline(SegmentSink &sink,
 {
 }
 
-SegmentPipeline::~SegmentPipeline()
-{
-    if (flusher_.joinable())
-        flusher_.join();
-}
-
 void
 SegmentPipeline::onCheckpoint(const Recording &rec)
 {
@@ -693,21 +661,19 @@ SegmentPipeline::stage(const Recording &rec, Boundary hi,
 }
 
 void
-SegmentPipeline::rethrowFlushError()
+SegmentPipeline::awaitFlush()
 {
-    if (flush_error_) {
+    try {
+        flush_.wait();
+    } catch (...) {
         closed_ = true; // poisoned: the sink is mid-commit
-        std::exception_ptr e = flush_error_;
-        flush_error_ = nullptr;
-        std::rethrow_exception(e);
+        throw;
     }
 }
 
 void
 SegmentPipeline::flushBatch()
 {
-    if (!pool_)
-        pool_ = std::make_unique<WorkerPool>(io_.resolvedIoThreads());
     std::vector<std::function<void()>> tasks;
     tasks.reserve(2 * flushing_.size());
     for (StagedSegment &seg : flushing_) {
@@ -722,11 +688,7 @@ SegmentPipeline::flushBatch()
                 seg.end = encodeBlob(std::move(image).str());
             });
     }
-    std::vector<std::exception_ptr> errors;
-    runIndexed(*pool_, std::move(tasks), errors);
-    for (const std::exception_ptr &e : errors)
-        if (e)
-            std::rethrow_exception(e);
+    Executor::run(tasks, io_.ioThreads);
     sink_.commit(flushing_);
     flushing_.clear();
 }
@@ -734,32 +696,22 @@ SegmentPipeline::flushBatch()
 void
 SegmentPipeline::pump()
 {
-    if (!flush_done_.load(std::memory_order_acquire))
-        return; // flusher busy; keep accumulating
-    if (flusher_.joinable())
-        flusher_.join();
-    rethrowFlushError();
+    if (!flush_.ready())
+        return; // a worker is flushing; keep accumulating
+    awaitFlush();
     if (staging_.empty())
         return;
     flushing_ = std::move(staging_);
     staging_.clear();
-    flush_done_.store(false, std::memory_order_release);
-    flusher_ = std::thread([this] {
-        try {
-            flushBatch();
-        } catch (...) {
-            flush_error_ = std::current_exception();
-        }
-        flush_done_.store(true, std::memory_order_release);
-    });
+    flush_ = Executor::post([this] { flushBatch(); }, io_.ioThreads);
+    if (flush_.ready())
+        awaitFlush(); // no worker can take it: flush on the feeder now
 }
 
 void
 SegmentPipeline::drain()
 {
-    if (flusher_.joinable())
-        flusher_.join();
-    rethrowFlushError();
+    awaitFlush();
     if (!staging_.empty()) {
         flushing_ = std::move(staging_);
         staging_.clear();
@@ -1132,23 +1084,28 @@ appendSyntheticPrefix(Recording &rec, const SystemCheckpoint &start)
  * + parse), then append them in segment order. Each segment's error
  * (or slice) lands in its own slot and the append loop consumes the
  * slots in order, so the first error to surface is the lowest-index
- * one, at any worker count.
+ * one, at any width.
  */
 void
-assemble(Recording &rec, WorkerPool &pool, std::size_t first,
+assemble(Recording &rec, unsigned width, std::size_t first,
          std::size_t count, const PayloadFn &payload,
          std::vector<std::uint64_t> &io_base, bool use_masks)
 {
     const unsigned n = rec.machine.numProcs;
     std::vector<SegmentSlice> slices(count);
+    std::vector<std::exception_ptr> errors(count);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(count);
     for (std::size_t k = 0; k < count; ++k)
-        tasks.push_back([&slices, &payload, first, n, k] {
-            slices[k] = decodeSegment(payload(first + k), n, first + k);
+        tasks.push_back([&slices, &errors, &payload, first, n, k] {
+            try {
+                slices[k] =
+                    decodeSegment(payload(first + k), n, first + k);
+            } catch (...) {
+                errors[k] = std::current_exception();
+            }
         });
-    std::vector<std::exception_ptr> errors;
-    runIndexed(pool, std::move(tasks), errors);
+    Executor::run(tasks, width);
     for (std::size_t k = 0; k < count; ++k) {
         if (errors[k])
             std::rethrow_exception(errors[k]);
@@ -1166,13 +1123,13 @@ applyFingerprint(const FinalStats &fin, Recording &rec)
 }
 
 Recording
-assembleAll(const RunInfo &run, const FinalStats &fin, WorkerPool &pool,
+assembleAll(const RunInfo &run, const FinalStats &fin, unsigned width,
             std::size_t count, const PayloadFn &payload,
             std::vector<SystemCheckpoint> checkpoints)
 {
     Recording rec = skeletonRecording(run);
     std::vector<std::uint64_t> io_base(run.machine.numProcs, 0);
-    assemble(rec, pool, 0, count, payload, io_base, /*use_masks=*/true);
+    assemble(rec, width, 0, count, payload, io_base, /*use_masks=*/true);
     rec.checkpoints = std::move(checkpoints);
     applyFingerprint(fin, rec);
     rec.stats.totalCycles = fin.engine[0];
@@ -1189,7 +1146,7 @@ assembleAll(const RunInfo &run, const FinalStats &fin, WorkerPool &pool,
 
 Recording
 assembleInterval(const RunInfo &run, const FinalStats &fin,
-                 WorkerPool &pool, const SystemCheckpoint &start,
+                 unsigned width, const SystemCheckpoint &start,
                  const SystemCheckpoint *stop, std::size_t first,
                  std::size_t count, const PayloadFn &payload)
 {
@@ -1198,7 +1155,7 @@ assembleInterval(const RunInfo &run, const FinalStats &fin,
     std::vector<std::uint64_t> io_base;
     for (const ThreadContext &ctx : start.contexts)
         io_base.push_back(ctx.ioLoadCount);
-    assemble(rec, pool, first, count, payload, io_base,
+    assemble(rec, width, first, count, payload, io_base,
              /*use_masks=*/false);
     applyFingerprint(fin, rec);
     rec.checkpoints.push_back(start);
@@ -1215,13 +1172,6 @@ assembleInterval(const RunInfo &run, const FinalStats &fin,
 // ----- the shared reader ----------------------------------------------------
 
 using namespace archive_detail;
-
-SegmentArchiveReader::SegmentArchiveReader() = default;
-SegmentArchiveReader::SegmentArchiveReader(SegmentArchiveReader &&) noexcept =
-    default;
-SegmentArchiveReader &
-SegmentArchiveReader::operator=(SegmentArchiveReader &&) noexcept = default;
-SegmentArchiveReader::~SegmentArchiveReader() = default;
 
 void
 SegmentArchiveReader::adopt(std::vector<ParsedSegment> &&records,
@@ -1290,14 +1240,6 @@ SegmentArchiveReader::newestCheckpointAtOrBefore(std::uint64_t cycle) const
     return static_cast<std::size_t>(it - checkpoints_.begin()) - 1;
 }
 
-WorkerPool &
-SegmentArchiveReader::ioPool() const
-{
-    if (!pool_)
-        pool_ = std::make_unique<WorkerPool>(io_.resolvedIoThreads());
-    return *pool_;
-}
-
 std::vector<std::uint8_t>
 SegmentArchiveReader::payload(std::size_t pos) const
 {
@@ -1322,7 +1264,7 @@ SegmentArchiveReader::readAll() const
             "run start evicted: oldest retained segment is "
                 + std::to_string(segments_.front().segId));
     return assembleAll(
-        run_, final_, ioPool(), segments_.size(),
+        run_, final_, io_.ioThreads, segments_.size(),
         [this](std::size_t pos) { return payload(pos); }, checkpoints_);
 }
 
@@ -1339,7 +1281,7 @@ SegmentArchiveReader::readInterval(std::size_t from, std::size_t to) const
     const std::size_t hi =
         to == kToEnd ? segments_.size() : ckpt_boundary_[to];
     return assembleInterval(
-        run_, final_, ioPool(), checkpoints_[from],
+        run_, final_, io_.ioThreads, checkpoints_[from],
         to == kToEnd ? nullptr : &checkpoints_[to], lo, hi - lo,
         [this](std::size_t pos) { return payload(pos); });
 }

@@ -12,7 +12,7 @@
  *  - the record encodings: the segment record, and the meta and index
  *    records (a 40-byte preamble and a raw blob);
  *  - the writer side: one SegmentPipeline (feeder-side cuts, a
- *    double-buffered flusher thread, the codec pool, error poisoning)
+ *    double-buffered posted flush, the codec batch, error poisoning)
  *    driving a SegmentSink that decides where a cut segment's record
  *    lands;
  *  - the reader side: one segment-record parser over a byte span,
@@ -28,22 +28,18 @@
 #ifndef DELOREAN_STORE_ARCHIVE_DETAIL_HPP_
 #define DELOREAN_STORE_ARCHIVE_DETAIL_HPP_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/executor.hpp"
 #include "core/checkpoint.hpp"
 #include "core/recording.hpp"
-#include "sim/campaign.hpp"
 #include "store/archive.hpp"
 
 namespace delorean
@@ -160,8 +156,8 @@ struct EncodedBlob
 EncodedBlob encodeBlob(const std::string &raw);
 
 /**
- * One segment between its cut (feeder thread) and its commit (flusher
- * thread). The cut fills everything but the blobs; the codec fills
+ * One segment between its cut (feeder thread) and its commit (flush
+ * task). The cut fills everything but the blobs; the codec fills
  * payload and, when the segment ends at a checkpoint, end.
  */
 struct StagedSegment
@@ -192,14 +188,14 @@ class SegmentSink
     SegmentSink() = default;
     virtual ~SegmentSink() = default;
 
-    // The pipeline's flusher thread holds the sink's address.
+    // The pipeline's flush task holds the sink's address.
     SegmentSink(const SegmentSink &) = delete;
     SegmentSink &operator=(const SegmentSink &) = delete;
 
     /** Feeder thread, once, before the first cut. */
     virtual void begin(const Recording &rec) = 0;
 
-    /** Flusher thread: commit one encoded batch, in cut order. */
+    /** Flush task: commit one encoded batch, in cut order. */
     virtual void commit(std::vector<StagedSegment> &batch) = 0;
 };
 
@@ -208,14 +204,18 @@ class SegmentSink
  * RingArchiveWriter. The *feeder* (recording) thread cuts segment
  * payloads synchronously — boundary math and buildSegmentPayload read
  * the live recording, which keeps growing after each hook returns —
- * and stages owned StagedSegments. The *flusher* thread compresses a
- * snatched batch (payloads and end-checkpoint images) over the codec
- * pool and hands it to the sink; while
- * it runs, the feeder keeps staging without blocking (double
- * buffering). Handoff is by join: the feeder only touches `flushing_`,
- * the pool and sink-committed state after observing flush_done_ and
- * joining, so no mutex is needed. A flusher failure is rethrown on
- * the feeder thread at the next call and closes the pipeline.
+ * and stages owned StagedSegments. The *flush* task, posted to the
+ * executor, compresses a snatched batch (payloads and end-checkpoint
+ * images) as a nested codec batch of ioThreads width and hands it to
+ * the sink; while it runs, the feeder keeps staging without blocking
+ * (double buffering). Handoff is by the post handle: the feeder only
+ * touches `flushing_` and sink-committed state after the handle
+ * reports ready and is waited on, so no mutex is needed. A post no
+ * worker can take (the feeder is a task of a full batch) is waited on
+ * at once, so the feeder flushes it itself and at most one batch is
+ * ever staged: segments reach the sink at every cut at any width. A flush
+ * failure is rethrown on the feeder thread at the next call and
+ * closes the pipeline.
  */
 class SegmentPipeline
 {
@@ -223,7 +223,6 @@ class SegmentPipeline
     /** @p who names the owning writer in misuse errors. */
     SegmentPipeline(SegmentSink &sink, const ArchiveIoOptions &io,
                     const char *who);
-    ~SegmentPipeline();
 
     SegmentPipeline(const SegmentPipeline &) = delete;
     SegmentPipeline &operator=(const SegmentPipeline &) = delete;
@@ -249,7 +248,7 @@ class SegmentPipeline
     void pump();
     void drain();
     void flushBatch();
-    void rethrowFlushError();
+    void awaitFlush();
 
     SegmentSink &sink_;
     ArchiveIoOptions io_;
@@ -263,11 +262,8 @@ class SegmentPipeline
     std::size_t staged_ = 0;     ///< segments cut
 
     std::vector<StagedSegment> staging_;  ///< feeder-owned accumulation
-    std::vector<StagedSegment> flushing_; ///< flusher-owned batch
-    std::atomic<bool> flush_done_{true};
-    std::exception_ptr flush_error_;
-    std::unique_ptr<WorkerPool> pool_;
-    std::thread flusher_; ///< last: it uses every member above
+    std::vector<StagedSegment> flushing_; ///< flush-task-owned batch
+    Executor::Handle flush_; ///< last: its task uses every member above
 };
 
 // ----- reader side ----------------------------------------------------------

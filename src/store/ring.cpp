@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "common/errors.hpp"
-#include "sim/campaign.hpp"
 #include "store/archive_detail.hpp"
 
 namespace delorean

@@ -141,13 +141,6 @@ class AddressLayout
         return addr >= kDmaBase && addr < kIoBase;
     }
 
-    /** Lock id of a lock-region address. */
-    static constexpr std::uint32_t
-    lockIdOf(Addr addr)
-    {
-        return static_cast<std::uint32_t>((addr - kLockBase) / kLineBytes);
-    }
-
     /// Word lanes per stripe group (8 words = two 32 B lines).
     static constexpr std::uint64_t kLaneCount = 8;
 

@@ -120,17 +120,6 @@ struct ThreadContext
     /// so the rollback undoes that single bit instead of copying the
     /// whole bitset on every instruction.
     std::bitset<2048> mappedSegs;
-
-    /** Fingerprint contribution of this thread's final state. */
-    std::uint64_t
-    stateHash() const
-    {
-        std::uint64_t h = acc;
-        h = mix64(h ^ retired);
-        h = mix64(h ^ (static_cast<std::uint64_t>(iter) << 32
-                       ^ static_cast<std::uint64_t>(proc)));
-        return h;
-    }
 };
 
 } // namespace delorean

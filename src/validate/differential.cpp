@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "common/executor.hpp"
 #include "core/recorder.hpp"
 #include "core/serialize.hpp"
 #include "store/archive.hpp"
@@ -320,7 +321,7 @@ runOne(const DifferentialJob &job, const std::string &label,
             check.outcome.fingerprint, windowed.outcome.fingerprint,
             run.stratified, job.localizerPeriod);
 
-    // Leg 3: host-parallel chunk bodies on the WorkerPool.
+    // Leg 3: host-parallel chunk bodies on the executor.
     ParallelReplayOptions popts;
     popts.window = job.parallelWindow;
     popts.jobs = job.parallelJobs;
@@ -438,14 +439,16 @@ DifferentialChecker::check(const DifferentialJob &job) const
     result.job = job;
 
     const auto configs = runConfigs(job);
-    std::vector<std::function<DifferentialRun()>> tasks;
+    result.runs.resize(configs.size());
+    std::vector<std::function<void()>> tasks;
     tasks.reserve(configs.size());
-    for (const auto &[label, mode] : configs) {
-        tasks.push_back([&job, label = label, mode = mode] {
-            return runOne(job, label, mode);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        tasks.push_back([&job, &configs, &result, i] {
+            result.runs[i] =
+                runOne(job, configs[i].first, configs[i].second);
         });
     }
-    result.runs = runner_.map(std::move(tasks));
+    Executor::run(tasks, jobs_);
 
     auto fail = [&result](std::string msg) {
         result.failures.push_back(std::move(msg));

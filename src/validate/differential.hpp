@@ -51,7 +51,6 @@
 #include <vector>
 
 #include "core/recording.hpp"
-#include "sim/campaign.hpp"
 #include "validate/divergence.hpp"
 
 namespace delorean
@@ -77,7 +76,7 @@ struct DifferentialJob
     /// Lookahead window used for the windowed-arbiter and the
     /// chunk-parallel replay legs.
     unsigned parallelWindow = 8;
-    /// WorkerPool width for the chunk-parallel leg; 0 = DELOREAN_JOBS.
+    /// Executor width for the chunk-parallel leg; 0 = DELOREAN_JOBS.
     unsigned parallelJobs = 0;
     /// Take a system checkpoint every this many global commits during
     /// the record run, then archive the recording (src/store) and
@@ -192,13 +191,13 @@ struct DifferentialResult
 
 /**
  * Runs differential jobs, fanning the per-mode record/replay tasks
- * across a CampaignRunner worker pool.
+ * across the process-wide executor.
  */
 class DifferentialChecker
 {
   public:
-    /** @param jobs worker count; 0 uses campaignJobs(). */
-    explicit DifferentialChecker(unsigned jobs = 0) : runner_(jobs) {}
+    /** @param jobs batch width; 0 uses defaultJobs(). */
+    explicit DifferentialChecker(unsigned jobs = 0) : jobs_(jobs) {}
 
     /** Run the four mode configurations of @p job and cross-check. */
     DifferentialResult check(const DifferentialJob &job) const;
@@ -211,7 +210,7 @@ class DifferentialChecker
     checkAllApps(const DifferentialJob &base = {}) const;
 
   private:
-    CampaignRunner runner_;
+    unsigned jobs_;
 };
 
 } // namespace delorean

@@ -120,24 +120,6 @@ findMaskSection(const std::string &bytes)
 
 } // namespace
 
-const char *
-mutantOutcomeName(MutantOutcome outcome)
-{
-    switch (outcome) {
-      case MutantOutcome::kRejectedAtLoad:
-        return "rejected-at-load";
-      case MutantOutcome::kReplayedIdentically:
-        return "replayed-identically";
-      case MutantOutcome::kDivergenceDetected:
-        return "divergence-detected";
-      case MutantOutcome::kReplayErrorReported:
-        return "replay-error-reported";
-      case MutantOutcome::kUnexpected:
-        return "UNEXPECTED";
-    }
-    return "unknown";
-}
-
 std::string
 mutateSerialized(const std::string &bytes, MutationKind kind,
                  std::uint64_t seed)

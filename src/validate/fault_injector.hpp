@@ -71,9 +71,6 @@ enum class MutantOutcome : std::uint8_t
     kUnexpected,        ///< anything else — a sweep failure
 };
 
-/** Short printable name of a mutant outcome. */
-const char *mutantOutcomeName(MutantOutcome outcome);
-
 /** One mutant's result. */
 struct MutantResult
 {

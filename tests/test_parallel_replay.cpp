@@ -1,22 +1,17 @@
 /**
  * @file
- * Chunk-parallel replay tests: the WorkerPool substrate, serial vs.
- * parallel fingerprint equality for both parallel paths (the
- * lookahead-window arbiter and the host-parallel chunk-body
- * replayer) across all modes, window sizes and worker counts,
- * interval-fingerprint byte-identity, fault-report parity, and the
- * window-scaled livelock budget.
+ * Chunk-parallel replay tests: serial vs. parallel fingerprint
+ * equality for both parallel paths (the lookahead-window arbiter and
+ * the host-parallel chunk-body replayer) across all modes, window
+ * sizes and worker counts, interval-fingerprint byte-identity,
+ * fault-report parity, and the window-scaled livelock budget.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <functional>
-#include <stdexcept>
 #include <vector>
 
 #include "core/delorean.hpp"
-#include "sim/campaign.hpp"
 #include "sim/parallel_replay.hpp"
 #include "validate/replay_check.hpp"
 
@@ -82,65 +77,6 @@ intervalsAgree(const Recording &rec, const ExecutionFingerprint &a,
             return false;
     }
     return true;
-}
-
-// ---------------------------------------------------------------------
-// WorkerPool substrate
-// ---------------------------------------------------------------------
-
-TEST(WorkerPool, RunsEveryTaskExactlyOnce)
-{
-    WorkerPool pool(4);
-    std::vector<std::atomic<int>> hits(100);
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        tasks.push_back([&hits, i] { ++hits[i]; });
-    pool.runBatch(tasks);
-    for (std::size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-}
-
-TEST(WorkerPool, ReusableAcrossManyBatches)
-{
-    WorkerPool pool(4);
-    std::atomic<int> total{0};
-    for (int batch = 0; batch < 50; ++batch) {
-        std::vector<std::function<void()>> tasks;
-        for (int i = 0; i < 7; ++i)
-            tasks.push_back([&total] { ++total; });
-        pool.runBatch(tasks);
-    }
-    EXPECT_EQ(total.load(), 50 * 7);
-}
-
-TEST(WorkerPool, RethrowsTaskException)
-{
-    WorkerPool pool(4);
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 16; ++i)
-        tasks.push_back([i] {
-            if (i == 9)
-                throw std::runtime_error("task 9 failed");
-        });
-    EXPECT_THROW(pool.runBatch(tasks), std::runtime_error);
-
-    // The pool survives a failed batch.
-    std::atomic<int> ran{0};
-    std::vector<std::function<void()>> next;
-    next.push_back([&ran] { ++ran; });
-    pool.runBatch(next);
-    EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(WorkerPool, SingleJobRunsInline)
-{
-    WorkerPool pool(1);
-    EXPECT_EQ(pool.jobs(), 1u);
-    int ran = 0;
-    std::vector<std::function<void()>> tasks;
-    tasks.push_back([&ran] { ++ran; });
-    pool.runBatch(tasks);
-    EXPECT_EQ(ran, 1);
 }
 
 // ---------------------------------------------------------------------

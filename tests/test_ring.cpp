@@ -8,12 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <iomanip>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/executor.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
 #include "store/archive.hpp"
@@ -210,6 +216,45 @@ TEST(Ring, WriteRingConvenienceAndMisuse)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Ring, FlushFromAFullBatchReachesDiskBeforeClose)
+{
+    // Each task of a 2-wide batch feeds its own ring while the other is
+    // busy too, so no worker is free for the flush it posts. The
+    // recording thread must then flush itself at the cut, not stage the
+    // whole run until close.
+    const Recording rec = record(ModeConfig::orderAndSize(), "fft", 20);
+    ASSERT_GE(rec.checkpoints.size(), 2u);
+    std::atomic<int> arrived{0};
+    std::atomic<int> checked{0};
+    const auto meet = [](std::atomic<int> &count) {
+        ++count;
+        while (count.load() < 2)
+            std::this_thread::yield();
+    };
+    std::vector<std::size_t> before_close(2, 0);
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < 2; ++i)
+        tasks.push_back([&, i] {
+            const std::string dir =
+                ringDir("full_batch_" + std::to_string(i));
+            RingOptions opts;
+            opts.checkpointPeriod = 20;
+            opts.io = ArchiveIoOptions{2, true};
+            RingArchiveWriter ring(dir, opts);
+            meet(arrived);
+            ring.onCheckpoint(rec);
+            for (const auto &entry :
+                 std::filesystem::directory_iterator(dir))
+                if (entry.path().filename().string().rfind("seg-", 0) == 0)
+                    ++before_close[i];
+            meet(checked); // neither leaves the batch before both looked
+            ring.close(rec);
+        });
+    Executor::run(tasks, 2);
+    EXPECT_GE(before_close[0], rec.checkpoints.size());
+    EXPECT_GE(before_close[1], rec.checkpoints.size());
+}
+
 TEST(Ring, EvictionKeepsNewestWindowDecodable)
 {
     // A budget that can hold only a few segments: old history must be
@@ -236,8 +281,9 @@ TEST(Ring, EvictionKeepsNewestWindowDecodable)
 
     const RingArchiveReader ring = RingArchiveReader::open(dir);
     // Over budget only when the protected newest segment alone is.
-    if (ring.segments().size() > 1)
+    if (ring.segments().size() > 1) {
         EXPECT_LE(stats.liveBytes, opts.budgetBytes);
+    }
     EXPECT_TRUE(ring.recovery().clean);
     EXPECT_GT(ring.startGcc(), 0u);
     ASSERT_GE(ring.checkpointCount(), 2u);

@@ -100,6 +100,26 @@ TEST(Serve, ParseRejectsMalformedLines)
               std::string::npos);
 }
 
+TEST(Serve, ParseRejectsValuesThatDoNotFitUnsigned)
+{
+    // 2^32 + 1 must be rejected, not wrapped to 1.
+    for (const char *field : {"scale", "procs", "strat", "window"}) {
+        const std::string line =
+            std::string("record app=fft mode=stratified ") + field
+            + "=4294967297";
+        EXPECT_NE(parseError(line).find("out of range"), std::string::npos)
+            << line;
+    }
+    ServeJob job;
+    std::string error;
+    ASSERT_TRUE(parseServeJob(
+        "record app=fft scale=4294967295 procs=4 window=4294967295", job,
+        error))
+        << error;
+    EXPECT_EQ(job.record.scalePercent, 4294967295u);
+    EXPECT_EQ(job.replayWindow, 4294967295u);
+}
+
 TEST(Serve, ParseJobsReportsLineNumber)
 {
     std::istringstream in("# header\n"

@@ -78,7 +78,7 @@ main()
 {
     RecordingCache serial_cache, wide_cache;
     const std::vector<Row> serial = runCampaign(1, serial_cache);
-    const std::vector<Row> wide = runCampaign(campaignJobs(), wide_cache);
+    const std::vector<Row> wide = runCampaign(defaultJobs(), wide_cache);
 
     bool ok = serial.size() == wide.size();
     for (std::size_t i = 0; ok && i < serial.size(); ++i) {
@@ -99,6 +99,6 @@ main()
     }
     std::printf("campaign_smoke: %zu jobs identical at 1 and %u "
                 "workers, all replays deterministic\n",
-                serial.size(), campaignJobs());
+                serial.size(), defaultJobs());
     return 0;
 }

@@ -2,7 +2,7 @@
  * @file
  * CI smoke check for the archive data plane; wired into ctest as
  * `datapath_smoke` (tier-1, runs with DELOREAN_JOBS=4). It certifies
- * the two raw-speed mechanisms — the WorkerPool-parallel segment
+ * the two raw-speed mechanisms — the executor-parallel segment
  * codec and the zero-copy mmap read path — are invisible in the
  * bytes:
  *

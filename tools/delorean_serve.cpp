@@ -3,7 +3,7 @@
  * delorean_serve: the streaming record/replay service CLI.
  *
  * Reads a job stream (one session per line, see parseServeJob) from a
- * file or stdin, multiplexes the sessions over a worker pool with
+ * file or stdin, multiplexes the sessions over the executor with
  * content-addressed recording dedupe and incremental archive
  * emission, and prints the deterministic JSON ledger on stdout.
  * Progress events (one JSON line per completed session) go to stderr.
@@ -34,10 +34,10 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [options] [jobfile]\n"
-        "  --jobs N              worker-pool width (default: "
+        "  --jobs N              threads the run may use (default: "
         "DELOREAN_JOBS or host cores)\n"
         "  --max-inflight N      admission bound on concurrent "
-        "sessions (default: pool width)\n"
+        "sessions (default: --jobs)\n"
         "  --archive-dir DIR     stream .dla archives into DIR "
         "(default: off)\n"
         "  --ring-dir DIR        stream always-on ring archives into "

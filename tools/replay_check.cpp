@@ -654,7 +654,8 @@ main(int argc, char **argv)
     std::vector<std::string> args(argv + 1, argv + argc);
 
     // --jobs <n> may appear anywhere; it overrides DELOREAN_JOBS for
-    // every worker pool the run constructs (campaignJobs()).
+    // every executor batch of the run (defaultJobs() reads it once,
+    // at first use, which comes after this).
     unsigned jobs = 0;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] != "--jobs")
